@@ -667,6 +667,7 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem,
   ws.stack_slot.resize(qs + 1);
 
   if (engine_ == MatchingEngine::kParallel) prepare_parallel_state();
+  if (path_tally_.size() < ns) path_tally_.resize(ns);
 
   matched_ = 0;
   phases_ = 0;
@@ -946,6 +947,35 @@ void BipartiteMatcher::spec_worker(const int worker) {
   }
 }
 
+void BipartiteMatcher::record_path(const std::int32_t top) {
+  ++path_tally_[static_cast<std::size_t>(top)];
+  path_tally_max_ = std::max(path_tally_max_, top);
+}
+
+// The matcher's fold point: one registry write per metric per
+// augment_to_maximum() call (i.e. per probe or capacity step), never per
+// path.  The path-length scan stops at the deepest length seen, so the
+// flush costs O(lengths seen), not O(disks).
+void BipartiteMatcher::publish_tally(const std::int64_t phases,
+                                     const std::int64_t parallel_phases) {
+  MatchingMetrics& m = matching_metrics();
+  for (std::int32_t top = 0; top <= path_tally_max_; ++top) {
+    std::uint64_t& paths = path_tally_[static_cast<std::size_t>(top)];
+    m.path_len.observe_n(2.0 * top + 1.0, paths);  // obs: per-probe
+    paths = 0;
+  }
+  path_tally_max_ = -1;
+  m.phase_count.add(static_cast<std::uint64_t>(phases));  // obs: per-probe
+  if (parallel_phases > 0) {
+    // obs: per-probe — the parallel engine's pass outcomes.
+    m.parallel_phases.add(static_cast<std::uint64_t>(parallel_phases));
+    m.spec_commits.add(static_cast<std::uint64_t>(spec_commits_));
+    m.spec_conflicts.add(static_cast<std::uint64_t>(spec_conflicts_));
+    spec_commits_ = 0;
+    spec_conflicts_ = 0;
+  }
+}
+
 bool BipartiteMatcher::try_augment(const std::int32_t root,
                                    const std::int32_t limit,
                                    detail::ParallelMatchState* dirty) {
@@ -955,7 +985,7 @@ bool BipartiteMatcher::try_augment(const std::int32_t root,
   }
   ++matched_;
   ++augmentations_;
-  matching_metrics().path_len.observe(2.0 * pol.top + 1.0);
+  record_path(pol.top);
   return true;
 }
 
@@ -1009,8 +1039,6 @@ void BipartiteMatcher::parallel_augment_pass(const std::int32_t limit) {
     st.pass_stamp = 1;
   }
   const std::uint32_t pass = st.pass_stamp;
-  std::int64_t commits = 0;
-  std::int64_t reruns = 0;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < roots; ++i) {
     const std::int32_t u = ws.free_buckets[i];
@@ -1059,35 +1087,35 @@ void BipartiteMatcher::parallel_augment_pass(const std::int32_t limit) {
           }
           ++matched_;
           ++augmentations_;
-          matching_metrics().path_len.observe(2.0 * top + 1.0);
+          record_path(top);
           augmented = true;
         }
         visits_ += rec.visits;
         committed = true;
-        ++commits;
+        ++spec_commits_;
       }
     }
     if (!committed) {
       // Conflict (or aborted speculation): rerun the serial kernel at this
       // position, dirty-stamping its writes for later validations.
       augmented = try_augment(u, limit, &st);
-      ++reruns;
+      ++spec_conflicts_;
     }
     if (!augmented) ws.free_buckets[kept++] = u;
   }
   ws.free_buckets.resize(kept);
-  matching_metrics().spec_commits.add(commits);
-  matching_metrics().spec_conflicts.add(reruns);
 }
 
 std::int64_t BipartiteMatcher::augment_to_maximum() {
   auto& ws = *ws_;
-  if (matched_ > 0) matching_metrics().retained_hits.add(1);
+  if (matched_ > 0) matching_metrics().retained_hits.add(1);  // obs: per-probe
   const bool parallel_engine =
       engine_ == MatchingEngine::kParallel && par_ != nullptr;
   obs::Histogram& phase_ms = parallel_engine
                                  ? matching_metrics().parallel_phase_ms
                                  : matching_metrics().serial_phase_ms;
+  const std::int64_t phases_before = phases_;
+  std::int64_t parallel_phases = 0;
   while (matched_ < q_) {
     StopWatch watch;
     watch.start();
@@ -1100,24 +1128,24 @@ std::int64_t BipartiteMatcher::augment_to_maximum() {
     const bool reachable = par ? parallel_bfs_phase(limit) : bfs_phase(limit);
     if (!reachable) {
       watch.stop();
-      phase_ms.observe(watch.elapsed_ms());
+      phase_ms.observe(watch.elapsed_ms());  // obs: per-phase
       break;
     }
     ++phases_;
-    matching_metrics().phase_count.add(1);
     const std::int64_t before = matched_;
     if (par) {
       parallel_augment_pass(limit);
-      matching_metrics().parallel_phases.add(1);
+      ++parallel_phases;
     } else {
       serial_augment_pass(limit);
     }
     watch.stop();
-    phase_ms.observe(watch.elapsed_ms());
+    phase_ms.observe(watch.elapsed_ms());  // obs: per-phase
     // A phase whose BFS found a terminal always augments at least once
     // (failures don't mutate the matching); this is a loop guard only.
     if (matched_ == before) break;
   }
+  publish_tally(phases_ - phases_before, parallel_phases);
   return matched_;
 }
 
@@ -1235,7 +1263,7 @@ void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
       static_cast<std::uint64_t>(matcher_.visits());
   result.flow_stats.global_relabels =
       static_cast<std::uint64_t>(matcher_.phases());  // BFS layering passes
-  matching_metrics().visits.add(matcher_.visits());
+  matching_metrics().visits.add(matcher_.visits());  // obs: per-solve
   matcher_.extract_schedule_into(result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_MATCHING(problem, matcher_.capacities(), result,

@@ -156,6 +156,8 @@ class BipartiteMatcher {
   void serial_augment_pass(std::int32_t limit);
   void parallel_augment_pass(std::int32_t limit);
   void prepare_parallel_state();
+  void record_path(std::int32_t top);
+  void publish_tally(std::int64_t phases, std::int64_t parallel_phases);
 
   const RetrievalProblem* problem_ = nullptr;
   graph::MatchingWorkspace* ws_ = nullptr;
@@ -165,6 +167,17 @@ class BipartiteMatcher {
   std::int64_t phases_ = 0;
   std::int64_t augmentations_ = 0;
   std::int64_t visits_ = 0;
+
+  // Per-probe telemetry fold (docs/OBSERVABILITY.md "Overhead"): the
+  // augment loops count into these plain members on the coordinating
+  // thread, and publish_tally() hands them to the registry once at the end
+  // of each augment_to_maximum().  path_tally_[top] counts augmenting paths
+  // of top + 1 buckets; a layered path reaches each disk at most once, so
+  // top < n and rebind() sizes the tally (grow-only) to the disk count.
+  std::vector<std::uint64_t> path_tally_;
+  std::int32_t path_tally_max_ = -1;  // deepest top recorded since publish
+  std::int64_t spec_commits_ = 0;
+  std::int64_t spec_conflicts_ = 0;
 
   MatchingEngine engine_ = MatchingEngine::kSerial;
   int threads_ = 1;

@@ -29,11 +29,13 @@ void publish_flow_stats(const FlowStats& stats) {
         obs::Registry::global().counter("graph.engine_lifetimes");
   };
   static Handles handles;
+  // obs: per-engine — totals folded once, at engine destruction.
   handles.augmentations.add(stats.augmentations);
   handles.pushes.add(stats.pushes);
   handles.relabels.add(stats.relabels);
   handles.global_relabels.add(stats.global_relabels);
   handles.gap_jumps.add(stats.gap_jumps);
+  // obs: per-engine — see above.
   handles.dfs_visits.add(stats.dfs_visits);
   handles.engine_lifetimes.add(1);
 }

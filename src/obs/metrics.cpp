@@ -77,12 +77,16 @@ double Histogram::bucket_bound(int i) {
   return kFirstBoundMs * std::pow(2.0, i);
 }
 
-void Histogram::observe(double value_ms) {
+void Histogram::observe(double value_ms) { observe_n(value_ms, 1); }
+
+void Histogram::observe_n(double value_ms, std::uint64_t n) {
+  if (n == 0) return;
   // mo: relaxed — each cell is an independent tally; cross-cell skew is an
   // accepted property of lock-free snapshots (summary() may tear).
-  buckets_[bucket_index(value_ms)].fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t seen = count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value_ms, std::memory_order_relaxed);
+  buckets_[bucket_index(value_ms)].fetch_add(n, std::memory_order_relaxed);
+  const std::uint64_t seen = count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(value_ms * static_cast<double>(n),
+                 std::memory_order_relaxed);
   if (seen == 0) {
     // First observation initializes min/max; racing observers fix it up via
     // the CAS loops below, so the window only widens, never shrinks.

@@ -131,6 +131,11 @@ class Histogram {
   static constexpr double kFirstBoundMs = 1e-3; // 1 microsecond
 
   void observe(double value_ms);
+  /// Bulk fold: the same bucket, count, min and max as `n` observe(value_ms)
+  /// calls, and sum += n * value_ms, for the cost of one.  Lets a kernel
+  /// tally a value distribution in plain locals and publish it once per
+  /// solve instead of paying the atomics per event.  n == 0 is a no-op.
+  void observe_n(double value_ms, std::uint64_t n);
   HistogramSummary summary() const;
   void reset();
 
@@ -231,6 +236,7 @@ class Histogram {
   static constexpr int kBucketCount = 0;
   static constexpr double kFirstBoundMs = 0.0;
   void observe(double) {}
+  void observe_n(double, std::uint64_t) {}
   HistogramSummary summary() const { return {}; }
   void reset() {}
   static double bucket_bound(int) { return 0.0; }

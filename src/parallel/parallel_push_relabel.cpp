@@ -54,6 +54,7 @@ ParallelPushRelabel::RegistryHandles::make(int threads) {
       reg.counter("parallel.discharges"),
       reg.counter("parallel.queue_yields"),
       reg.counter("parallel.resumes"),
+      reg.counter("parallel.termination_reruns"),
       reg.gauge("parallel.last_run_queue_yields"),
       {},
       {},
@@ -311,17 +312,32 @@ Cap ParallelPushRelabel::resume() {
   saturate_source_arcs();
   exact_heights();
   seed_queue();
-  // mo: relaxed — same prologue contract as above.
-  gr_state_.store(0, std::memory_order_relaxed);
-  gr_paused_.store(0, std::memory_order_relaxed);
-  gr_exited_.store(0, std::memory_order_relaxed);
-  relabels_since_gr_.store(0, std::memory_order_relaxed);
   gr_threshold_ = static_cast<std::uint64_t>(net_.num_vertices());
-
-  pool_.run([this](int index) {
-    t_worker_index = index;
-    worker();
-  });
+  std::uint64_t reruns = 0;
+  for (;;) {
+    // mo: relaxed — same prologue contract as above.
+    gr_state_.store(0, std::memory_order_relaxed);
+    gr_paused_.store(0, std::memory_order_relaxed);
+    gr_exited_.store(0, std::memory_order_relaxed);
+    relabels_since_gr_.store(0, std::memory_order_relaxed);
+    pool_.run([this](int index) {
+      t_worker_index = index;
+      worker();
+    });
+    // Termination check (the WHFC guard): workers exit once the queue
+    // drains, but an asynchronous relabel can leave a vertex parked at
+    // height >= n on a stale label while a residual path to the sink still
+    // exists.  Exact labels decide it: the surplus is stranded only when no
+    // vertex with excess sits below n; otherwise run the workers again.
+    // Re-seeding inside the mid-run global relabel is not a substitute —
+    // that relabel runs while parked vertices still hold stale heights.
+    exact_heights();
+    seed_queue();
+    // mo: relaxed — single-threaded between runs; run() joined the workers.
+    if (active_count_.load(std::memory_order_relaxed) == 0) break;
+    ++reruns;
+  }
+  registry_.termination_reruns.add(reruns);  // obs: per-resume
 
   drain_stranded_excess();
 
@@ -334,17 +350,19 @@ Cap ParallelPushRelabel::resume() {
     cumulative_[t].relabels += c.relabels;
     cumulative_[t].discharges += c.discharges;
     cumulative_[t].queue_yields += c.queue_yields;
+    // obs: per-resume — the per-thread tallies folded once per run.
     registry_.pushes.add(c.pushes);
     registry_.relabels.add(c.relabels);
     registry_.discharges.add(c.discharges);
     registry_.queue_yields.add(c.queue_yields);
+    // obs: per-resume — the same tallies, per worker.
     registry_.thread_pushes[t]->add(c.pushes);
     registry_.thread_relabels[t]->add(c.relabels);
     registry_.thread_discharges[t]->add(c.discharges);
     registry_.thread_queue_yields[t]->add(c.queue_yields);
     run_yields += c.queue_yields;
   }
-  registry_.resumes.add(1);
+  registry_.resumes.add(1);  // obs: per-resume
   registry_.contention.set(static_cast<double>(run_yields));
   std::fill(counters_.begin(), counters_.end(), ThreadCounters{});
 

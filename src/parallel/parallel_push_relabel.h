@@ -124,6 +124,7 @@ class ParallelPushRelabel : public ParallelEngineBase {
     obs::Counter& discharges;
     obs::Counter& queue_yields;
     obs::Counter& resumes;
+    obs::Counter& termination_reruns;
     obs::Gauge& contention;
     std::vector<obs::Counter*> thread_pushes;
     std::vector<obs::Counter*> thread_relabels;

@@ -357,11 +357,13 @@ Cap RoundPushRelabel::resume() {
 
   stats_.pushes += run_pushes_;
   stats_.relabels += run_relabels_;
+  // obs: per-resume — run totals folded once, after the last round.
   registry_.pushes.add(run_pushes_);
   registry_.relabels.add(run_relabels_);
   registry_.discharges.add(run_discharges_);
   registry_.resumes.add(1);
   registry_.rounds.add(run_round_stats_.rounds);
+  // obs: per-resume — see above.
   registry_.global_relabels.add(run_round_stats_.global_relabels);
   registry_.discharge_work.add(run_round_stats_.discharge_work);
   registry_.active_peak.set(

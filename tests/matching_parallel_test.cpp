@@ -393,6 +393,41 @@ TEST(ParallelMatching, ForcedPoolPathRecordsParallelMetrics) {
             phase_samples);
 }
 
+// The matcher tallies path lengths in plain locals and folds them into the
+// registry once per augment_to_maximum(); the fold must not lose or invent a
+// single path.  After K solves, the histogram's count delta is exactly the
+// summed augmentations, and matching.phase_count moves by the summed phases.
+TEST(ParallelMatching, PathLengthFoldCountsEveryAugmentation) {
+  auto& reg = obs::Registry::global();
+  obs::Histogram& path_len = reg.histogram("matching.augmenting_path_len");
+  obs::Counter& phase_count = reg.counter("matching.phase_count");
+  for (const MatchingEngine engine :
+       {MatchingEngine::kSerial, MatchingEngine::kParallel}) {
+    core::IntegratedMatchingSolver solver(engine, 2);
+    if (engine == MatchingEngine::kParallel) solver.set_parallel_cutoff(0);
+    const std::uint64_t paths_before = path_len.summary().count;
+    const std::uint64_t phases_before = phase_count.value();
+    std::uint64_t augmentations = 0;
+    std::uint64_t phases = 0;
+    Rng rng(9110);
+    SolveResult result;
+    for (int k = 0; k < 6; ++k) {
+      const RetrievalProblem problem = random_problem(
+          4 + static_cast<std::int32_t>(rng.below(10)),
+          20 + static_cast<std::int64_t>(rng.below(120)), rng);
+      solver.solve_into(problem, result);
+      augmentations += result.flow_stats.augmentations;
+      phases += result.flow_stats.global_relabels;  // HK phases
+    }
+    const char* id = core::matching_engine_id(engine);
+    EXPECT_GT(augmentations, 0u) << id;
+    EXPECT_EQ(path_len.summary().count - paths_before, augmentations) << id;
+    EXPECT_EQ(phase_count.value() - phases_before, phases) << id;
+    // Every augmenting path alternates bucket -> disk arcs: odd, >= 1.
+    EXPECT_GE(path_len.summary().min, 1.0) << id;
+  }
+}
+
 TEST(MatchingEngineSeam, PoolCountsSolvesPerEngine) {
   auto& reg = obs::Registry::global();
   obs::Counter& serial_solves = reg.counter("matching.serial.solves");

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/solve.h"
 #include "core/stream.h"
@@ -42,6 +43,7 @@ TEST(Obs, ApiSurfaceIsAlwaysAvailable) {
   g.set(1.5);
   Histogram h;
   h.observe(1.0);
+  h.observe_n(1.0, 3);
   { ScopedLatency latency(h); }
   { ScopedSpan span("obs_test.api"); }
   Registry::global().counter("obs_test.api_counter").add();
@@ -121,6 +123,45 @@ TEST(Histogram, PercentilesSeparateBimodalData) {
   EXPECT_DOUBLE_EQ(s.max, 100.0);
   h.reset();
   EXPECT_EQ(h.summary().count, 0u);
+}
+
+TEST(Histogram, BulkFoldMatchesRepeatedObserve) {
+  // observe_n(v, n) is the kernels' fold entry point: it must leave exactly
+  // what n observe(v) calls leave — buckets, count, min, max — and the same
+  // sum up to floating-point reassociation.
+  const std::pair<double, std::uint64_t> samples[] = {
+      {7.0, 14150},                        // a typical path-length tally
+      {1.0, 3},
+      {0.5 * Histogram::kFirstBoundMs, 5},  // underflow bucket
+      {Histogram::kFirstBoundMs, 2},        // inclusive bucket bound
+      {0.1, 1},
+      {1e12, 4},                            // overflow bucket
+      {3.0, 0}};                            // empty fold: no-op
+  Histogram folded;
+  Histogram repeated;
+  for (const auto& [value, n] : samples) {
+    folded.observe_n(value, n);
+    for (std::uint64_t i = 0; i < n; ++i) repeated.observe(value);
+  }
+  for (int i = 0; i < Histogram::kBucketCount; ++i) {
+    EXPECT_EQ(folded.bucket_count(i), repeated.bucket_count(i)) << i;
+  }
+  const HistogramSummary a = folded.summary();
+  const HistogramSummary b = repeated.summary();
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_DOUBLE_EQ(a.min, b.min);
+  EXPECT_DOUBLE_EQ(a.max, b.max);
+  EXPECT_NEAR(a.sum, b.sum, 1e-9 * std::abs(b.sum));
+  EXPECT_DOUBLE_EQ(a.p50, b.p50);
+  EXPECT_DOUBLE_EQ(a.p99, b.p99);
+
+  // A zero-count fold on an empty histogram must not seed min/max.
+  Histogram empty;
+  empty.observe_n(5.0, 0);
+  empty.observe(2.0);
+  EXPECT_EQ(empty.summary().count, 1u);
+  EXPECT_DOUBLE_EQ(empty.summary().min, 2.0);
+  EXPECT_DOUBLE_EQ(empty.summary().max, 2.0);
 }
 
 TEST(Registry, HandlesAreStableAndNamed) {
@@ -377,6 +418,9 @@ TEST(Obs, DisabledBuildReportsNothing) {
   Counter& c = Registry::global().counter("obs_test.noop");
   c.add(100);
   EXPECT_EQ(c.value(), 0u);
+  Histogram& h = Registry::global().histogram("obs_test.noop_hist");
+  h.observe_n(7.0, 1000);
+  EXPECT_EQ(h.summary().count, 0u);
   Tracer::global().set_enabled(true);
   { ScopedSpan span("obs_test.noop_span"); }
   EXPECT_TRUE(Tracer::global().spans().empty());

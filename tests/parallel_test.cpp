@@ -25,6 +25,19 @@ using graph::Cap;
 using graph::FlowNetwork;
 using graph::Vertex;
 
+// Stress iteration counts shrink under REPFLOW_TSAN (defined by the build
+// when 'thread' is in REPFLOW_SANITIZE) to absorb TSan's 5-15x slowdown
+// without changing what is exercised.
+#if defined(REPFLOW_TSAN)
+constexpr int kStressIters = 8;
+constexpr int kStressThreads = 4;
+constexpr int kSweepRepeats = 10;
+#else
+constexpr int kStressIters = 25;
+constexpr int kStressThreads = 6;
+constexpr int kSweepRepeats = 120;
+#endif
+
 TEST(MpmcQueue, FifoSingleThread) {
   MpmcQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
@@ -84,14 +97,27 @@ Cap sequential_value(FlowNetwork net, Vertex s, Vertex t) {
   return engine.solve_from_zero().value;
 }
 
+// The Sweep corpus, shared by the parameterized sweeps and the repeated
+// termination regression below.
+graph::GeneratedNetwork sweep_general_network(int param) {
+  Rng rng(4000 + param);
+  return graph::random_general(2 + static_cast<std::int32_t>(rng.below(40)),
+                               static_cast<std::int32_t>(rng.below(200)),
+                               1 + static_cast<Cap>(rng.below(25)), rng);
+}
+
+graph::GeneratedNetwork sweep_shaped_network(int param) {
+  Rng rng(5000 + param);
+  const auto left = 5 + static_cast<std::int32_t>(rng.below(60));
+  const auto right = 2 + static_cast<std::int32_t>(rng.below(14));
+  return graph::random_bipartite(left, right, 2,
+                                 1 + static_cast<Cap>(rng.below(6)), rng);
+}
+
 class ParallelMatchesSequential : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelMatchesSequential, RandomGeneralNetworks) {
-  Rng rng(4000 + GetParam());
-  auto g = graph::random_general(
-      2 + static_cast<std::int32_t>(rng.below(40)),
-      static_cast<std::int32_t>(rng.below(200)),
-      1 + static_cast<Cap>(rng.below(25)), rng);
+  auto g = sweep_general_network(GetParam());
   const Cap reference = sequential_value(g.net, g.source, g.sink);
   for (int threads : {1, 2, 4}) {
     FlowNetwork net = g.net;  // fresh flows
@@ -104,11 +130,7 @@ TEST_P(ParallelMatchesSequential, RandomGeneralNetworks) {
 }
 
 TEST_P(ParallelMatchesSequential, RetrievalShapedNetworks) {
-  Rng rng(5000 + GetParam());
-  const auto left = 5 + static_cast<std::int32_t>(rng.below(60));
-  const auto right = 2 + static_cast<std::int32_t>(rng.below(14));
-  auto g = graph::random_bipartite(left, right, 2,
-                                   1 + static_cast<Cap>(rng.below(6)), rng);
+  auto g = sweep_shaped_network(GetParam());
   const Cap reference = sequential_value(g.net, g.source, g.sink);
   FlowNetwork net = g.net;
   net.clear_flow();
@@ -173,19 +195,34 @@ TEST(ParallelStress, RepeatedRunsAreStable) {
   }
 }
 
+TEST(ParallelStress, SweepCorpusRepeatedStaysExact) {
+  // Termination regression: without the exact-relabel check after the
+  // workers exit, an asynchronous relabel could park a vertex at height
+  // >= n on a stale label, and the drain returned its excess to the source
+  // — about one full sweep in thirty came back short at 2 and 4 threads.
+  // Repeating the Sweep corpus kSweepRepeats times catches that rate.
+  for (int rep = 0; rep < kSweepRepeats; ++rep) {
+    for (int param = 0; param < 15; ++param) {
+      const graph::GeneratedNetwork general = sweep_general_network(param);
+      const graph::GeneratedNetwork shaped = sweep_shaped_network(param);
+      for (const auto* g : {&general, &shaped}) {
+        const Cap reference = sequential_value(g->net, g->source, g->sink);
+        for (int threads : {2, 4}) {
+          FlowNetwork net = g->net;
+          net.clear_flow();
+          ParallelPushRelabel engine(net, g->source, g->sink, threads);
+          ASSERT_EQ(engine.resume(), reference)
+              << "rep=" << rep << " param=" << param
+              << " threads=" << threads;
+          ASSERT_TRUE(graph::validate_flow(net, g->source, g->sink).ok);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Round engine (bulk-synchronous, WHFC-style).
-
-// Stress iteration counts shrink under REPFLOW_TSAN (defined by the build
-// when 'thread' is in REPFLOW_SANITIZE) to absorb TSan's 5-15x slowdown
-// without changing what is exercised.
-#if defined(REPFLOW_TSAN)
-constexpr int kStressIters = 8;
-constexpr int kStressThreads = 4;
-#else
-constexpr int kStressIters = 25;
-constexpr int kStressThreads = 6;
-#endif
 
 class RoundMatchesSequential : public ::testing::TestWithParam<int> {};
 

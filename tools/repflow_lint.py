@@ -19,6 +19,13 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         `histogram("a.b")`, ...) must be documented in
         docs/OBSERVABILITY.md, whose prose may use one-level brace groups
         (`router.{admitted,shed}`) and `<...>` wildcards (`disk.<j>.busy_ms`).
+  OBS01 every obs handle write (`.observe(`, `.observe_n(`, `.add(`) in the
+        solver kernels — src/core/bipartite_matching.cpp, src/graph/*.cpp,
+        src/parallel/*.cpp — must carry (or sit within a few lines below) an
+        `// obs: per-<unit>` frequency tag naming a fold point (per-solve,
+        per-probe, per-phase, per-resume, per-engine).  Inner-loop units
+        (per-path, per-push, ...) fail: the kernels count in locals and
+        publish at the fold point, never from the augment/push loops.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -96,6 +103,20 @@ METRIC_PREFIX_CALL_RE = re.compile(
     r"\"(\.[a-z0-9_.]+)\"")
 
 CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
+
+# OBS01: the kernel files whose registry writes must name their frequency.
+OBS_KERNEL_RE = re.compile(
+    r"\Asrc/(?:core/bipartite_matching\.cpp|graph/[^/]+\.cpp|"
+    r"parallel/[^/]+\.cpp)\Z")
+OBS_WRITE_RE = re.compile(r"(?:\.|->)(?:observe|observe_n|add)\s*\(")
+OBS_TAG_RE = re.compile(r"//.*\bobs:\s*per-([a-z]+)")
+OBS_TAG_WINDOW = 5
+# Fold points: at most a handful of registry writes per solve each.
+OBS_FOLD_UNITS = ("solve", "probe", "phase", "resume", "engine")
+# Inner-loop frequencies: a registry write there puts atomics back into the
+# kernel's hot loop (shared cache lines across BatchSolver workers).
+OBS_HOT_UNITS = ("path", "push", "relabel", "augment", "visit", "arc",
+                 "discharge")
 
 
 class Violation:
@@ -298,8 +319,44 @@ def check_metric_docs(root: str, files: Iterable[str]) -> List[Violation]:
     return out
 
 
+# --- OBS01 ----------------------------------------------------------------
+
+def check_obs_frequency(root: str, files: Iterable[str]) -> List[Violation]:
+    out: List[Violation] = []
+    for rel in files:
+        if not OBS_KERNEL_RE.match(rel.replace(os.sep, "/")):
+            continue
+        tag_line = -1  # index of the nearest `obs:` tag at or above
+        tag_unit = ""
+        for i, line in enumerate(read_lines(root, rel)):
+            tag = OBS_TAG_RE.search(line)
+            if tag:
+                tag_line, tag_unit = i, tag.group(1)
+            stripped = line.lstrip()
+            if stripped.startswith("//") or not OBS_WRITE_RE.search(line):
+                continue
+            if tag_line < 0 or i > tag_line + OBS_TAG_WINDOW:
+                out.append(Violation(
+                    "OBS01", rel, i + 1,
+                    "obs handle write without an `// obs: per-<unit>` "
+                    f"frequency tag within {OBS_TAG_WINDOW} lines above"))
+            elif tag_unit in OBS_HOT_UNITS:
+                out.append(Violation(
+                    "OBS01", rel, i + 1,
+                    f"obs handle write tagged per-{tag_unit}: inner-loop "
+                    "telemetry must be tallied in locals and folded once "
+                    "per solve/probe/phase"))
+            elif tag_unit not in OBS_FOLD_UNITS:
+                out.append(Violation(
+                    "OBS01", rel, i + 1,
+                    f"unknown obs frequency per-{tag_unit} (expected one of "
+                    + ", ".join("per-" + u for u in OBS_FOLD_UNITS) + ")"))
+    return out
+
+
 RULES = {
     "MO01": (check_mo_tags, ["src"]),
+    "OBS01": (check_obs_frequency, ["src"]),
     "RAW01": (check_raw, ["src"]),
     "LOCK01": (check_bare_locks, ["src"]),
     "MET01": (check_metric_docs, ["src"]),

@@ -228,6 +228,63 @@ def test_met01_flags_undocumented_suffix_and_prefix():
         tree.cleanup()
 
 
+# --- OBS01 ----------------------------------------------------------------
+
+def test_obs01_flags_untagged_and_inner_loop_writes():
+    tree = FixtureTree()
+    try:
+        rel = tree.write(
+            "src/core/bipartite_matching.cpp",
+            "bool try_augment() {\n"
+            "  metrics().path_len.observe(2.0 * top + 1.0);\n"
+            "  // obs: per-path\n"
+            "  metrics().visits.add(1);\n"
+            "  // obs: per-tick\n"
+            "  metrics().visits.add(1);\n"
+            "}\n")
+        violations = run_rule(tree, "OBS01", [rel])
+        assert [v.line for v in violations] == [2, 4, 6], violations
+        assert "without" in violations[0].message
+        assert "per-path" in violations[1].message
+        assert "unknown" in violations[2].message
+    finally:
+        tree.cleanup()
+
+
+def test_obs01_accepts_fold_tags_and_ignores_other_files():
+    tree = FixtureTree()
+    try:
+        kernel = tree.write(
+            "src/parallel/engine.cpp",
+            "void publish() {\n"
+            "  registry_.resumes.add(1);  // obs: per-resume\n"
+            "  // obs: per-probe — the tally fold.\n"
+            "  hist.observe_n(3.0, paths);\n"
+            "  registry_.thread_pushes[t]->add(c.pushes);\n"
+            "}\n")
+        other = tree.write("src/core/stream.cpp",
+                           "void f() { hist.observe(1.0); }\n")
+        assert run_rule(tree, "OBS01", [kernel, other]) == []
+    finally:
+        tree.cleanup()
+
+
+def test_obs01_window_expires():
+    tree = FixtureTree()
+    try:
+        filler = "  int unused%d = 0;\n"
+        body = ("void f() {\n"
+                "  // obs: per-solve — too far away.\n" +
+                "".join(filler % i for i in range(lint.OBS_TAG_WINDOW)) +
+                "  m.visits.add(1);\n"
+                "}\n")
+        rel = tree.write("src/graph/x.cpp", body)
+        violations = run_rule(tree, "OBS01", [rel])
+        assert len(violations) == 1, violations
+    finally:
+        tree.cleanup()
+
+
 # --- end-to-end -----------------------------------------------------------
 
 def test_main_exit_codes():
