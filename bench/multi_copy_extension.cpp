@@ -2,7 +2,7 @@
 //
 // The generalized formulation ([12], and this library) supports any number
 // of sites and copies; the paper's evaluation stops at c = 2 / two sites.
-// Three sections:
+// Two sections:
 //
 //   1. The original c = 2..4 sweep (pairwise-orthogonal linear family, one
 //      copy per site, prime N): scheduling cost of Algorithm 6 AND the
@@ -12,22 +12,10 @@
 //   2. Degree~16 adversarial cells — 16 copies per bucket on a 64-disk
 //      array with hot-slow skew (replicas concentrated on the slowest
 //      disks), the dense c > 2 shape where the matching kernel's naive
-//      adjacency scan loses ground.  Times the serial kernel with
-//      degree-bucketed adjacency off vs on, and the parallel phase engine
-//      with the pooled path forced, over one shared batch.
-//   3. Coalesced-batch head-to-head — |Q| large enough that parallel BFS
-//      layering engages past its inline cutoff, serial vs parallel at
-//      widening thread counts through a warm SolverPool (which also trains
-//      the `matching.<id>.phase_ms` histograms behind MatchingEngine::kAuto,
-//      so the reported auto pick is the choice adaptive selection would
-//      make on this host).  --bench-json mirrors sections 2-3 into a JSON
-//      file gated in CI against the `matching_parallel` section of
-//      BENCH_matching.json.
-//
-// HARDWARE NOTE: this reproduction's container exposes a single hardware
-// core, so parallel/serial ratios document speculation + barrier overhead
-// under oversubscription rather than speedup; the bucketed-vs-unbucketed
-// comparison and the bit-identity cross-checks are host-independent.
+//      adjacency scan loses ground.  Times the kernel with degree-bucketed
+//      adjacency off vs on over one shared batch.  --bench-json writes
+//      these cells to a JSON file gated in CI against the `degree16`
+//      section of BENCH_matching.json.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -36,8 +24,6 @@
 
 #include "bench/common.h"
 #include "core/bipartite_matching.h"
-#include "core/engine.h"
-#include "core/solver_pool.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/timing.h"
@@ -47,7 +33,6 @@ namespace {
 
 using namespace repflow;
 using bench::SweepConfig;
-using core::MatchingEngine;
 
 /// Uniform-cost problem with `buckets` buckets, each on `copies` distinct
 /// disks of a `disks`-wide array (the same generator family as
@@ -101,8 +86,8 @@ core::RetrievalProblem make_dense_problem(std::int32_t disks,
 /// Warm `solver` on the batch, then time `reps` full passes and return the
 /// mean per-solve milliseconds.  The warm pass records each problem's
 /// optimal response time into `responses` (filled on first call, verified
-/// exactly on later calls — the kernels under test are bit-identical, so
-/// any drift is a bug, not noise).
+/// exactly on later calls — both adjacency orders reach the same optimum,
+/// so any drift is a bug, not noise).
 double time_matching_batch_ms(core::IntegratedMatchingSolver& solver,
                               const std::vector<core::RetrievalProblem>& batch,
                               std::int32_t reps, const char* label,
@@ -131,13 +116,10 @@ double time_matching_batch_ms(core::IntegratedMatchingSolver& solver,
 struct DegreeCells {
   double serial_unbucketed_avg_ms = 0.0;
   double serial_bucketed_avg_ms = 0.0;
-  double parallel_avg_ms = 0.0;  // pooled path forced (cutoff 0)
   double bucketed_speedup = 0.0;
 };
 
-/// Section 2: the dense c > 2 shape, three kernel configurations, one
-/// shared batch.  The parallel column forces the pooled path (cutoff 0) so
-/// it measures the speculation machinery, not the inline fallback.
+/// Section 2: the dense c > 2 shape, bucketing off vs on, one shared batch.
 DegreeCells run_degree_cells(const SweepConfig& config, std::int32_t buckets,
                              std::int32_t reps) {
   const std::int32_t disks = 64;
@@ -151,20 +133,14 @@ DegreeCells run_degree_cells(const SweepConfig& config, std::int32_t buckets,
 
   DegreeCells cells;
   std::vector<double> responses;
-  core::IntegratedMatchingSolver unbucketed(MatchingEngine::kSerial);
+  core::IntegratedMatchingSolver unbucketed;
   unbucketed.set_degree_bucketed(false);
   cells.serial_unbucketed_avg_ms = time_matching_batch_ms(
       unbucketed, batch, reps, "serial-unbucketed", responses);
 
-  core::IntegratedMatchingSolver bucketed(MatchingEngine::kSerial);
+  core::IntegratedMatchingSolver bucketed;
   cells.serial_bucketed_avg_ms = time_matching_batch_ms(
       bucketed, batch, reps, "serial-bucketed", responses);
-
-  core::IntegratedMatchingSolver parallel(MatchingEngine::kParallel,
-                                          config.threads);
-  parallel.set_parallel_cutoff(0);
-  cells.parallel_avg_ms = time_matching_batch_ms(
-      parallel, batch, reps, "parallel-forced", responses);
 
   cells.bucketed_speedup =
       cells.serial_bucketed_avg_ms > 0
@@ -183,137 +159,27 @@ DegreeCells run_degree_cells(const SweepConfig& config, std::int32_t buckets,
   };
   row("serial, bucketing off", cells.serial_unbucketed_avg_ms);
   row("serial, degree-bucketed", cells.serial_bucketed_avg_ms);
-  row("parallel (pooled path forced)", cells.parallel_avg_ms);
   table.print(std::cout);
   std::printf("degree-bucketed adjacency speedup: %.3fx\n\n",
               cells.bucketed_speedup);
   return cells;
 }
 
-struct MatchHeadRow {
-  int threads = 0;
-  double parallel_avg_ms = 0.0;
-  double parallel_over_serial = 0.0;  // serial ms / parallel ms (speedup)
-};
-
-struct MatchHead {
-  double serial_avg_ms = 0.0;
-  std::vector<MatchHeadRow> rows;
-  const char* auto_pick = "?";
-};
-
-/// Section 3: coalesced-batch head-to-head.  |Q| clears the parallel
-/// engine's default inline cutoff, so pooled BFS layering and speculative
-/// augmentation genuinely run.  Every solve goes through a warm SolverPool:
-/// that is the serving configuration, and it trains the
-/// `matching.<id>.phase_ms` histograms that drive MatchingEngine::kAuto.
-MatchHead run_coalesced_head_to_head(const SweepConfig& config,
-                                     std::int32_t buckets,
-                                     std::int32_t problems,
-                                     std::int32_t reps) {
-  const std::int32_t disks = 32;
-  std::vector<core::RetrievalProblem> batch;
-  for (std::int32_t i = 0; i < problems; ++i) {
-    batch.push_back(make_dense_problem(
-        disks, buckets, 4, config.seed + 77 + static_cast<std::uint64_t>(i)));
-  }
-
-  const auto time_pool = [&](MatchingEngine engine, int threads,
-                             std::vector<double>& responses) {
-    core::SolverPool pool(threads);
-    pool.set_matching_engine(engine);
-    core::SolveResult result;
-    const bool first = responses.empty();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      pool.solve_into(batch[i], core::SolverKind::kIntegratedMatching,
-                      result);
-      if (first) {
-        responses.push_back(result.response_time_ms);
-      } else if (result.response_time_ms != responses[i]) {
-        std::fprintf(stderr,
-                     "HEAD-TO-HEAD MISMATCH problem %zu (%s, %d threads): "
-                     "%.6f vs %.6f\n",
-                     i, core::matching_engine_id(engine), threads,
-                     responses[i], result.response_time_ms);
-        std::abort();
-      }
-    }
-    StopWatch sw;
-    sw.start();
-    for (std::int32_t r = 0; r < reps; ++r) {
-      for (const auto& problem : batch) {
-        pool.solve_into(problem, core::SolverKind::kIntegratedMatching,
-                        result);
-      }
-    }
-    sw.stop();
-    return sw.elapsed_ms() / static_cast<double>(batch.size() * reps);
-  };
-
-  MatchHead head;
-  std::vector<double> responses;
-  head.serial_avg_ms = time_pool(MatchingEngine::kSerial, 1, responses);
-  for (int width : {1, 2, 4}) {
-    MatchHeadRow row;
-    row.threads = width;
-    row.parallel_avg_ms =
-        time_pool(MatchingEngine::kParallel, width, responses);
-    row.parallel_over_serial = row.parallel_avg_ms > 0
-                                   ? head.serial_avg_ms / row.parallel_avg_ms
-                                   : 0.0;
-    head.rows.push_back(row);
-  }
-  // The solves above trained both matching.<id>.phase_ms histograms, so
-  // this is the choice adaptive selection makes on this host.
-  head.auto_pick = core::matching_engine_id(core::choose_matching_engine());
-
-  std::printf("--- coalesced-batch head-to-head (32 disks, |Q| = %d, %d "
-              "problems, serial avg %.4f ms) ---\n",
-              buckets, problems, head.serial_avg_ms);
-  TablePrinter table({"threads", "parallel ms", "parallel x"});
-  for (const MatchHeadRow& row : head.rows) {
-    table.begin_row();
-    table.add_cell(static_cast<long long>(row.threads));
-    table.add_cell(row.parallel_avg_ms, 4);
-    table.add_cell(row.parallel_over_serial, 3);
-    table.end_row();
-  }
-  table.print(std::cout);
-  std::printf("adaptive selection would pick: %s\n\n", head.auto_pick);
-  return head;
-}
-
-void write_bench_json(const std::string& path, const DegreeCells& cells,
-                      const MatchHead& head) {
+void write_bench_json(const std::string& path, const DegreeCells& cells) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot write bench json %s\n", path.c_str());
     return;
   }
   std::fprintf(out, "{\n  \"bench\": \"multi_copy_extension\",\n");
-  std::fprintf(out, "  \"matching_parallel\": {\n");
-  std::fprintf(out, "    \"serial_avg_ms\": %.6f,\n", head.serial_avg_ms);
-  std::fprintf(out, "    \"head_to_head\": [\n");
-  for (std::size_t i = 0; i < head.rows.size(); ++i) {
-    const MatchHeadRow& row = head.rows[i];
-    std::fprintf(out,
-                 "      {\"threads\": %d, \"parallel_avg_ms\": %.6f, "
-                 "\"parallel_over_serial\": %.4f}%s\n",
-                 row.threads, row.parallel_avg_ms, row.parallel_over_serial,
-                 i + 1 < head.rows.size() ? "," : "");
-  }
-  std::fprintf(out, "    ],\n");
-  std::fprintf(out, "    \"auto_pick\": \"%s\",\n", head.auto_pick);
-  std::fprintf(out, "    \"degree16\": {\n");
-  std::fprintf(out, "      \"serial_unbucketed_avg_ms\": %.6f,\n",
+  std::fprintf(out, "  \"degree16\": {\n");
+  std::fprintf(out, "    \"serial_unbucketed_avg_ms\": %.6f,\n",
                cells.serial_unbucketed_avg_ms);
-  std::fprintf(out, "      \"serial_bucketed_avg_ms\": %.6f,\n",
+  std::fprintf(out, "    \"serial_bucketed_avg_ms\": %.6f,\n",
                cells.serial_bucketed_avg_ms);
-  std::fprintf(out, "      \"parallel_avg_ms\": %.6f,\n",
-               cells.parallel_avg_ms);
-  std::fprintf(out, "      \"bucketed_speedup\": %.4f\n",
+  std::fprintf(out, "    \"bucketed_speedup\": %.4f\n",
                cells.bucketed_speedup);
-  std::fprintf(out, "    }\n  }\n}\n");
+  std::fprintf(out, "  }\n}\n");
   std::fclose(out);
   std::printf("bench json: %s\n", path.c_str());
 }
@@ -325,25 +191,14 @@ int main(int argc, char** argv) {
   extra.define("disks", "13", "disks per site (prime recommended)");
   extra.define("dense-buckets", "800",
                "bucket count for the degree-16 adversarial cells");
-  extra.define("batch-buckets", "4096",
-               "|Q| for the coalesced-batch head-to-head (must exceed the "
-               "parallel engine's inline cutoff of 2048 to exercise the "
-               "pooled path)");
-  extra.define("batch-problems", "4",
-               "problem count for the coalesced-batch head-to-head");
   extra.define("reps", "3", "timed passes over each batch");
   extra.define("bench-json", "",
-               "write the matching head-to-head + degree cells to this "
-               "JSON file");
+               "write the degree-16 cells to this JSON file");
   const bench::SweepConfig config = bench::parse_sweep(
       argc, argv, "multi-copy extension: c = 2..4 copies / sites", &extra);
   const auto n = static_cast<std::int32_t>(extra.get_int("disks"));
   const auto dense_buckets =
       static_cast<std::int32_t>(extra.get_int("dense-buckets"));
-  const auto batch_buckets =
-      static_cast<std::int32_t>(extra.get_int("batch-buckets"));
-  const auto batch_problems =
-      static_cast<std::int32_t>(extra.get_int("batch-problems"));
   const auto reps = static_cast<std::int32_t>(extra.get_int("reps"));
   const std::string bench_json = extra.get("bench-json");
   bench::print_banner("Extension: multi-copy / multi-site retrieval", config);
@@ -410,9 +265,7 @@ int main(int argc, char** argv) {
       "rises mildly (denser networks).\n\n");
 
   const DegreeCells cells = run_degree_cells(config, dense_buckets, reps);
-  const MatchHead head = run_coalesced_head_to_head(
-      config, batch_buckets, batch_problems, reps);
-  if (!bench_json.empty()) write_bench_json(bench_json, cells, head);
+  if (!bench_json.empty()) write_bench_json(bench_json, cells);
   bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

@@ -49,45 +49,8 @@ constexpr std::optional<EngineKind> engine_kind_from_id(std::string_view id) {
   return std::nullopt;
 }
 
-/// Which phase engine backs the Hopcroft-Karp kernel of
-/// kIntegratedMatching.  Same seam shape as EngineKind one tier over:
-/// kSerial and kParallel pin a concrete kernel, kAuto defers to the
-/// measured `matching.<id>.phase_ms` histograms (see
-/// resolve_matching_engine in solver_pool.h).  The parallel kernel is
-/// bit-identical to the serial one — same matching, same schedule, same
-/// counter values — so the choice is purely a latency knob.
-enum class MatchingEngine {
-  kSerial,    ///< the sequential Hopcroft-Karp kernel (PR-4 fast path)
-  kParallel,  ///< bulk-synchronous BFS + speculative batched augmentation
-  kAuto,      ///< histogram-driven choice between the two
-};
-
-/// Every concrete matching engine, in declaration order (kAuto is a
-/// selection policy, not an engine, so it is deliberately absent).
-inline constexpr MatchingEngine kAllMatchingEngines[] = {
-    MatchingEngine::kSerial, MatchingEngine::kParallel};
-
-/// Short stable identifier (metric names, CLI flags, bench labels).
-constexpr const char* matching_engine_id(MatchingEngine engine) {
-  switch (engine) {
-    case MatchingEngine::kSerial:
-      return "serial";
-    case MatchingEngine::kParallel:
-      return "parallel";
-    case MatchingEngine::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-/// Inverse of matching_engine_id() for CLI parsing; nullopt for unknown ids.
-constexpr std::optional<MatchingEngine> matching_engine_from_id(
-    std::string_view id) {
-  if (id == "serial") return MatchingEngine::kSerial;
-  if (id == "parallel") return MatchingEngine::kParallel;
-  if (id == "auto") return MatchingEngine::kAuto;
-  return std::nullopt;
-}
+/// Kept for source compatibility only: perfbench/ passes MatchingEngine::kSerial.
+enum class MatchingEngine { kSerial };
 
 class IntegratedEngine {
  public:

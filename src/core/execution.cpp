@@ -71,14 +71,12 @@ SolverKind select_by_degree(const RetrievalProblem& problem,
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
     : policy_(policy), pool_(policy.threads) {
   pool_.set_engine_kind(policy.engine);
-  pool_.set_matching_engine(policy.matching_engine);
 }
 
 void ExecutionContext::set_policy(const ExecutionPolicy& policy) {
   policy_ = policy;
   pool_.set_threads(policy.threads);  // no-op unless the count changed
   pool_.set_engine_kind(policy.engine);
-  pool_.set_matching_engine(policy.matching_engine);
 }
 
 SolverKind ExecutionContext::select(const RetrievalProblem& problem) {

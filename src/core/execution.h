@@ -52,11 +52,6 @@ struct ExecutionPolicy {
   /// `engine.<id>.solve_ms` histograms (see core::resolve_engine_kind);
   /// pinning kHongHe or kRound skips resolution.
   EngineKind engine = EngineKind::kAuto;
-  /// Which phase engine kIntegratedMatching runs (ignored by the flow
-  /// kinds).  kAuto re-resolves per solve against the
-  /// `matching.<id>.phase_ms` histograms (see core::resolve_matching_engine);
-  /// pinning kSerial or kParallel skips resolution.
-  MatchingEngine matching_engine = MatchingEngine::kAuto;
 
   static ExecutionPolicy pinned(SolverKind kind, int threads = 2) {
     ExecutionPolicy p;

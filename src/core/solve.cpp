@@ -18,10 +18,6 @@ EngineKind choose_engine(EngineKind requested) {
   return resolve_engine_kind(requested);
 }
 
-MatchingEngine choose_matching_engine(MatchingEngine requested) {
-  return resolve_matching_engine(requested);
-}
-
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
                   int threads, EngineKind engine) {
   ExecutionContext& context = thread_execution_context();

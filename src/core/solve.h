@@ -24,9 +24,6 @@ struct SolveOptions {
   /// Parallel engine for kParallelPushRelabelBinary (ignored otherwise).
   /// kAuto picks per solve off the `engine.<id>.solve_ms` histograms.
   EngineKind engine = EngineKind::kAuto;
-  /// Phase engine for kIntegratedMatching (ignored otherwise).  kAuto picks
-  /// per solve off the `matching.<id>.phase_ms` histograms.
-  MatchingEngine matching_engine = MatchingEngine::kAuto;
 
   /// The ExecutionPolicy these options denote: pinned when `kind` is set,
   /// the default fixed-threshold adaptive policy otherwise.
@@ -34,7 +31,6 @@ struct SolveOptions {
     ExecutionPolicy p = kind ? ExecutionPolicy::pinned(*kind, threads)
                              : ExecutionPolicy::adaptive(16.0, threads);
     p.engine = engine;
-    p.matching_engine = matching_engine;
     return p;
   }
 };
@@ -54,14 +50,6 @@ SolverKind choose_solver(const RetrievalProblem& problem);
 /// histograms (lower observed mean wins once both engines are warmed up;
 /// kRound until then).  Equivalent to resolve_engine_kind(requested).
 EngineKind choose_engine(EngineKind requested = EngineKind::kAuto);
-
-/// The adaptive matching-engine choice behind MatchingEngine::kAuto:
-/// resolve `requested` to a concrete Hopcroft-Karp phase engine off the
-/// `matching.<id>.phase_ms` latency histograms (lower observed mean wins
-/// once both kernels are warmed up; kSerial until then).  Equivalent to
-/// resolve_matching_engine(requested).
-MatchingEngine choose_matching_engine(
-    MatchingEngine requested = MatchingEngine::kAuto);
 
 /// Solve `problem` with the chosen algorithm.  `threads` and `engine` only
 /// matter for kParallelPushRelabelBinary (ignored otherwise; threads must

@@ -45,25 +45,6 @@ EngineMetrics& engine_metrics(EngineKind kind) {
   return kind == EngineKind::kRound ? round : hong_he;
 }
 
-// Same shape for the matching engines.  The phase-latency histogram is
-// observed inside the kernel (every Hopcroft-Karp phase, whichever engine
-// ran it), so each solve trains the kAuto selector with several samples;
-// the pool only counts solves per engine here.
-struct MatchingEngineMetrics {
-  obs::Histogram& phase_ms;
-  obs::Counter& solves;
-};
-
-MatchingEngineMetrics& matching_engine_metrics(MatchingEngine engine) {
-  static MatchingEngineMetrics serial{
-      obs::Registry::global().histogram("matching.serial.phase_ms"),
-      obs::Registry::global().counter("matching.serial.solves")};
-  static MatchingEngineMetrics parallel{
-      obs::Registry::global().histogram("matching.parallel.phase_ms"),
-      obs::Registry::global().counter("matching.parallel.solves")};
-  return engine == MatchingEngine::kParallel ? parallel : serial;
-}
-
 // Slot accessor: construct on first use (a rebuild), reuse afterwards.
 template <typename T, typename... Args>
 T& slot(std::unique_ptr<T>& shell, Args&&... args) {
@@ -92,20 +73,6 @@ EngineKind resolve_engine_kind(EngineKind requested,
   return EngineKind::kRound;
 }
 
-MatchingEngine resolve_matching_engine(MatchingEngine requested,
-                                       std::uint64_t min_samples) {
-  if (requested != MatchingEngine::kAuto) return requested;
-  const obs::HistogramSummary serial =
-      matching_engine_metrics(MatchingEngine::kSerial).phase_ms.summary();
-  const obs::HistogramSummary parallel =
-      matching_engine_metrics(MatchingEngine::kParallel).phase_ms.summary();
-  if (serial.count >= min_samples && parallel.count >= min_samples) {
-    return serial.mean <= parallel.mean ? MatchingEngine::kSerial
-                                        : MatchingEngine::kParallel;
-  }
-  return MatchingEngine::kSerial;
-}
-
 SolverPool::SolverPool(int threads) : threads_(threads) {
   if (threads < 1) {
     throw std::invalid_argument("SolverPool: threads < 1");
@@ -123,7 +90,6 @@ void SolverPool::set_threads(int threads) {
   // Rebuilt with the new worker count on next use.
   parallel_hong_he_.reset();
   parallel_round_.reset();
-  matching_parallel_.reset();
 }
 
 void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
@@ -167,20 +133,9 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
       metrics.solves.add(1);
       break;
     }
-    case SolverKind::kIntegratedMatching: {
-      const MatchingEngine engine = resolve_matching_engine(matching_engine_);
-      std::unique_ptr<IntegratedMatchingSolver>& shell =
-          engine == MatchingEngine::kParallel ? matching_parallel_ : matching_;
-      if (shell) {
-        pool_metrics().reuse_hits.add(1);
-      } else {
-        pool_metrics().rebuilds.add(1);
-        shell = std::make_unique<IntegratedMatchingSolver>(engine, threads_);
-      }
-      shell->solve_into(problem, result);
-      matching_engine_metrics(engine).solves.add(1);
+    case SolverKind::kIntegratedMatching:
+      slot(matching_).solve_into(problem, result);
       break;
-    }
   }
   pool_metrics().retained_bytes.set(static_cast<double>(retained_bytes()));
 }
@@ -202,7 +157,6 @@ std::size_t SolverPool::retained_bytes() const {
   if (parallel_hong_he_) total += parallel_hong_he_->retained_bytes();
   if (parallel_round_) total += parallel_round_->retained_bytes();
   if (matching_) total += matching_->retained_bytes();
-  if (matching_parallel_) total += matching_parallel_->retained_bytes();
   return total;
 }
 

@@ -11,10 +11,7 @@
 // (core/engine.h): the asynchronous Hong & He engine and the bulk-
 // synchronous round engine each keep their own warm shell, so switching
 // kinds — or letting kAuto flip between them as latency histograms fill —
-// never rebuilds the other's retained state.  kIntegratedMatching fans out
-// the same way behind the MatchingEngine seam: serial and parallel kernels
-// each keep a warm shell, with kAuto trained off the per-phase
-// `matching.<id>.phase_ms` histograms.
+// never rebuilds the other's retained state.
 //
 // Not thread-safe: use one pool per thread (the facade keeps a
 // thread_local pool; BatchSolver gives each worker its own).
@@ -46,18 +43,6 @@ namespace repflow::core {
 /// asynchronous engine burns cycles spin-yielding on its work queue.
 EngineKind resolve_engine_kind(EngineKind requested,
                                std::uint64_t min_samples = 32);
-
-/// Resolve a requested matching engine to a concrete one — the same policy
-/// one tier over: kSerial / kParallel pass through unchanged; kAuto
-/// consults the `matching.<id>.phase_ms` latency histograms (observed per
-/// Hopcroft-Karp phase by whichever engine ran it) and picks the engine
-/// with the lower observed mean once both carry at least `min_samples`
-/// phases.  Until then (and permanently in REPFLOW_OBS_DISABLED builds)
-/// kAuto falls back to kSerial: the serial kernel has no barrier or
-/// speculation overhead, so it is the safe default until the parallel
-/// engine has proven itself on this workload.
-MatchingEngine resolve_matching_engine(MatchingEngine requested,
-                                       std::uint64_t min_samples = 32);
 
 class SolverPool {
  public:
@@ -91,16 +76,6 @@ class SolverPool {
   void set_engine_kind(EngineKind kind) { engine_kind_ = kind; }
   EngineKind engine_kind() const { return engine_kind_; }
 
-  /// Which phase engine kIntegratedMatching runs.  kAuto (the default)
-  /// re-resolves against the `matching.<id>.phase_ms` histograms on every
-  /// solve; pinning a concrete engine skips resolution.  Serial and
-  /// parallel keep separate warm slots, so flipping engines never drops
-  /// retained matching state.
-  void set_matching_engine(MatchingEngine engine) {
-    matching_engine_ = engine;
-  }
-  MatchingEngine matching_engine() const { return matching_engine_; }
-
   /// Total retained working-memory footprint across live slots (also
   /// published as the `workspace.retained_bytes` gauge after each solve).
   std::size_t retained_bytes() const;
@@ -108,7 +83,6 @@ class SolverPool {
  private:
   int threads_;
   EngineKind engine_kind_ = EngineKind::kAuto;
-  MatchingEngine matching_engine_ = MatchingEngine::kAuto;
   std::unique_ptr<FordFulkersonBasicSolver> ff_basic_;
   std::unique_ptr<FordFulkersonIncrementalSolver> ff_incremental_;
   std::unique_ptr<PushRelabelIncrementalSolver> pr_incremental_;
@@ -117,7 +91,6 @@ class SolverPool {
   std::unique_ptr<PushRelabelBinarySolver> parallel_hong_he_;
   std::unique_ptr<PushRelabelBinarySolver> parallel_round_;
   std::unique_ptr<IntegratedMatchingSolver> matching_;
-  std::unique_ptr<IntegratedMatchingSolver> matching_parallel_;
 };
 
 }  // namespace repflow::core

@@ -72,15 +72,8 @@ class VertexFifo {
 /// adjacency and per-disk matched-bucket slot lists) and the matching state
 /// in a handful of parallel vectors.  Like MaxflowWorkspace, every vector
 /// grows monotonically, so re-binding a same-footprint problem performs
-/// zero heap allocations.
-///
-/// The parallel phase engine (MatchingEngine::kParallel) follows the
-/// RoundRelabelWorkspace convention: its concurrently-written arrays (the
-/// atomic visit/claim stamps and per-worker lanes) live inside the matcher
-/// (detail::ParallelMatchState), never here, so this struct stays freely
-/// copyable and the serial kernel's view of these buffers is unchanged.
-/// Under the parallel engine the buffers below are still written — by the
-/// stamp-winning worker only, published by the worker pool's barrier.
+/// zero heap allocations.  One matcher on one thread owns a workspace at a
+/// time; nothing here is written concurrently.
 struct MatchingWorkspace {
   // --- instance topology (rebuilt per bind) ---
   std::vector<std::int32_t> first;       // bucket CSR offsets, size Q+1

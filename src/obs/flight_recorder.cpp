@@ -59,19 +59,22 @@ void FlightRecorder::record(std::uint64_t query_id, FlightEventKind kind,
   // mo: release — the odd stamp must be visible before any payload bytes
   // so a reader that misses it cannot treat a mid-write slot as stable.
   slot.stamp.store(2 * ticket + 1, std::memory_order_release);
-  slot.event.query_id = query_id;
-  slot.event.seq = ticket;
   // mo: relaxed — the epoch is a coarse timestamp base; a reader racing
   // clear() may see old-epoch t_ms values, which the torn-slot contract
   // already tolerates.
   const auto epoch = Clock::time_point(
       Clock::duration(epoch_ns_.load(std::memory_order_relaxed)));
-  slot.event.t_ms = std::chrono::duration<double, std::milli>(
-                        Clock::now() - epoch)
-                        .count();
-  slot.event.value = value;
-  slot.event.detail = detail;
-  slot.event.kind = kind;
+  const double t_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - epoch).count();
+  // mo: release — each payload store carries the odd stamp above with it:
+  // a reader that acquires any of these values also sees the odd (or a
+  // later) stamp on its re-check, so a torn copy is always detected.
+  slot.query_id.store(query_id, std::memory_order_release);
+  slot.t_ms.store(t_ms, std::memory_order_release);
+  slot.value.store(value, std::memory_order_release);
+  // mo: release — same payload contract as the three stores above.
+  slot.detail.store(detail, std::memory_order_release);
+  slot.kind.store(kind, std::memory_order_release);
   // mo: release — publishes the completed payload; pairs with the acquire
   // stamp loads in events().
   slot.stamp.store(2 * ticket + 2, std::memory_order_release);
@@ -86,7 +89,16 @@ std::vector<FlightEvent> FlightRecorder::events() const {
     // that no writer re-entered the slot while we copied.
     const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
     if (before == 0 || before % 2 != 0) continue;  // empty or mid-write
-    FlightEvent copy = slot.event;
+    FlightEvent copy;
+    copy.seq = before / 2 - 1;
+    // mo: acquire — pairs with the writer's release payload stores, and
+    // keeps the re-check load below from moving above these loads.
+    copy.query_id = slot.query_id.load(std::memory_order_acquire);
+    copy.t_ms = slot.t_ms.load(std::memory_order_acquire);
+    copy.value = slot.value.load(std::memory_order_acquire);
+    // mo: acquire — same payload contract as the three loads above.
+    copy.detail = slot.detail.load(std::memory_order_acquire);
+    copy.kind = slot.kind.load(std::memory_order_acquire);
     // mo: acquire — see the stamp note above (torn-read re-check).
     const std::uint64_t after = slot.stamp.load(std::memory_order_acquire);
     if (after != before) continue;  // overwritten while copying

@@ -153,9 +153,17 @@ class FlightRecorder {
  private:
   struct Slot {
     /// Seqlock stamp: 2*ticket+1 while the writer is inside, 2*ticket+2
-    /// once the event is published.  0 = never written.
+    /// once the event is published.  0 = never written.  The event's seq
+    /// is the ticket, so it is not stored separately.
     std::atomic<std::uint64_t> stamp{0};
-    FlightEvent event;
+    // Payload words are atomics because a reader can overlap a writer on
+    // the same slot: a plain copy there is a data race even though the
+    // stamp re-check discards the torn result.
+    std::atomic<std::uint64_t> query_id{0};
+    std::atomic<double> t_ms{0.0};
+    std::atomic<double> value{0.0};
+    std::atomic<std::int32_t> detail{0};
+    std::atomic<FlightEventKind> kind{FlightEventKind::kAdmit};
   };
 
   using Clock = std::chrono::steady_clock;

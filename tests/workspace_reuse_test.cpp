@@ -233,76 +233,6 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
       run_kind(kind, core::EngineKind::kAuto);
     }
   }
-
-  // The matching kind fans out the same way behind the MatchingEngine
-  // seam: the pinned-parallel slot must also run allocation-free once warm.
-  auto run_matching_engine = [&](core::MatchingEngine engine) {
-    core::SolverPool pool(/*threads=*/2);
-    pool.set_matching_engine(engine);
-    SolveResult result;
-    for (const RetrievalProblem& problem : problems) {
-      pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
-    }
-    g_alloc_count.store(0);
-    g_alloc_bytes.store(0);
-    g_count_allocs.store(true);
-    for (const RetrievalProblem& problem : problems) {
-      pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
-    }
-    g_count_allocs.store(false);
-    EXPECT_EQ(g_alloc_count.load(), 0u)
-        << "matching/" << core::matching_engine_id(engine) << ": "
-        << g_alloc_count.load() << " steady-state allocations ("
-        << g_alloc_bytes.load() << " bytes)";
-    EXPECT_GT(result.response_time_ms, 0.0);
-  };
-  for (core::MatchingEngine engine : core::kAllMatchingEngines) {
-    run_matching_engine(engine);
-  }
-  run_matching_engine(core::MatchingEngine::kAuto);
-}
-
-// The parallel phase engine with the pooled path *forced* (cutoff 0, so
-// every phase runs the level-sync BFS + speculation + ordered commit, and
-// at 2 real worker threads): warm steady state must stay allocation-free —
-// lanes, frontiers, spec records, and the job std::function are all
-// grow-only or small-buffer.
-TEST(WorkspaceReuse, ParallelMatchingForcedPoolPathAllocatesNothing) {
-#if REPFLOW_INVARIANTS_ENABLED
-  GTEST_SKIP() << "REPFLOW_CHECK_INVARIANTS builds run allocation-light (not "
-                  "allocation-free) checkers inside the solve seams";
-#endif
-  Rng rng(7006);
-  std::vector<RetrievalProblem> problems;
-  for (int i = 0; i < 5; ++i) {
-    problems.push_back(random_general_problem(8, 48, rng));
-  }
-  core::IntegratedMatchingSolver solver(core::MatchingEngine::kParallel,
-                                        /*threads=*/2);
-  solver.set_parallel_cutoff(0);
-  SolveResult result;
-  // Two warm passes: the second pass resumes from different retained
-  // matchings than the first (the workspace carries problem[4]'s state
-  // into problem[0]), so the grow-only buffers only reach their
-  // steady-state high-water mark once the cycle has repeated.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const RetrievalProblem& problem : problems) {
-      solver.solve_into(problem, result);
-    }
-  }
-
-  g_alloc_count.store(0);
-  g_alloc_bytes.store(0);
-  g_count_allocs.store(true);
-  for (const RetrievalProblem& problem : problems) {
-    solver.solve_into(problem, result);
-  }
-  g_count_allocs.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u)
-      << g_alloc_count.load() << " steady-state allocations ("
-      << g_alloc_bytes.load() << " bytes) with the parallel engine warm";
-  EXPECT_GT(solver.retained_bytes(), 0u);
 }
 
 TEST(WorkspaceReuse, PooledResultsBitIdenticalToFreshSolversBasic) {

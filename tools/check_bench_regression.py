@@ -21,13 +21,10 @@ Inputs:
   * a metrics sidecar JSON (``--parallel-metrics``) from the same run, which
     must show the round engine actually ran (``parallel.rounds`` and
     ``parallel.global_relabels`` counters > 0);
-  * a matching head-to-head JSON (``--matching-parallel``) from
-    ``multi_copy_extension --bench-json=...``, whose
-    ``parallel_over_serial`` ratios must clear the baseline's per-thread
-    ``gate_min_parallel_over_serial`` floors, whose ``auto_pick`` must match
-    ``gate_expected_auto_pick``, and whose degree-16 cells must show the
-    degree-bucketed adjacency keeping its ``gate_min_bucketed_speedup``
-    edge over the unbucketed scan.
+  * a degree-16 cells JSON (``--degree16``) from
+    ``multi_copy_extension --bench-json=...``, whose ``bucketed_speedup``
+    must show the degree-bucketed adjacency keeping the baseline's
+    ``degree16.gate_min_bucketed_speedup`` edge over the unbucketed scan.
 
 CI runners are noisy shared machines, so the timing comparison is
 deliberately generous: a benchmark only fails when it is more than
@@ -173,64 +170,27 @@ def check_parallel_head(baseline: dict, head_path: str):
     return failures
 
 
-def check_matching_parallel(baseline: dict, head_path: str):
-    """The HK parallel phase engine must hold its measured envelope.
+def check_degree16(baseline: dict, cells_path: str):
+    """Degree-bucketed adjacency must keep its edge on the degree-16 cells.
 
-    Floors are per-thread-count because the failure modes differ: at 1
-    thread the pooled path must stay near-serial (inline fallback plus
-    cheap handoff), while at 2/4 threads a barrier- or speculation-cost
-    regression shows up first.  Both engines are timed over identical
-    problems in one process and are bit-identical in work done, so the
-    ratio is much more stable than either wall-clock number alone.  The
-    bucketed-speedup gate covers the degree-16 adversarial cells: the
-    c > 2 shapes the degree-bucketed adjacency exists for.
+    Both adjacency orders are timed over identical problems in one process,
+    so the ratio is much more stable than either wall-clock number alone.
+    These dense c > 2 shapes are what the degree-bucketed order exists for.
     """
-    gates = baseline.get("matching_parallel", {})
-    floors = gates.get("gate_min_parallel_over_serial", {})
-    expected_pick = gates.get("gate_expected_auto_pick")
-    min_bucketed = gates.get("gate_min_bucketed_speedup")
-    if not floors or expected_pick is None or min_bucketed is None:
-        sys.exit("baseline has no matching_parallel gates "
-                 "(gate_min_parallel_over_serial / gate_expected_auto_pick "
-                 "/ gate_min_bucketed_speedup)")
-    data = load_json(head_path).get("matching_parallel", {})
-    rows = {str(r.get("threads")): r for r in data.get("head_to_head", [])}
-    failures = []
-    for threads, floor in sorted(floors.items(), key=lambda kv: int(kv[0])):
-        row = rows.get(str(threads))
-        if row is None:
-            failures.append(
-                f"no head_to_head row for {threads} threads in {head_path}")
-            continue
-        ratio = row.get("parallel_over_serial")
-        if ratio is None:
-            failures.append(
-                f"head_to_head row for {threads} threads lacks "
-                f"parallel_over_serial in {head_path}")
-            continue
-        print(f"matching parallel/serial @ {threads} threads = {ratio:.3f} "
-              f"(gate >= {floor})")
-        if ratio < floor:
-            failures.append(
-                f"parallel matching engine regressed at {threads} threads: "
-                f"{ratio:.3f} < {floor}")
-    pick = data.get("auto_pick")
-    print(f"matching auto_pick = {pick} (gate == {expected_pick})")
-    if pick != expected_pick:
-        failures.append(
-            f"matching adaptive selection picked {pick!r}, expected "
-            f"{expected_pick!r}")
-    speedup = data.get("degree16", {}).get("bucketed_speedup")
+    min_bucketed = baseline.get("degree16", {}).get(
+        "gate_min_bucketed_speedup")
+    if min_bucketed is None:
+        sys.exit("baseline has no degree16.gate_min_bucketed_speedup")
+    speedup = load_json(cells_path).get("degree16", {}).get(
+        "bucketed_speedup")
     if speedup is None:
-        failures.append(f"no degree16.bucketed_speedup in {head_path}")
-    else:
-        print(f"degree-bucketed speedup (degree-16 cells) = {speedup:.3f} "
-              f"(gate >= {min_bucketed})")
-        if speedup < min_bucketed:
-            failures.append(
-                f"degree-bucketed adjacency lost its edge on the degree-16 "
-                f"cells: {speedup:.3f} < {min_bucketed}")
-    return failures
+        return [f"no degree16.bucketed_speedup in {cells_path}"]
+    print(f"degree-bucketed speedup (degree-16 cells) = {speedup:.3f} "
+          f"(gate >= {min_bucketed})")
+    if speedup < min_bucketed:
+        return [f"degree-bucketed adjacency lost its edge on the degree-16 "
+                f"cells: {speedup:.3f} < {min_bucketed}"]
+    return []
 
 
 def check_parallel_metrics(metrics_path: str):
@@ -262,20 +222,19 @@ def main() -> int:
                         help="fig10_parallel_speedup --bench-json output")
     parser.add_argument("--parallel-metrics",
                         help="metrics sidecar from the head-to-head run")
-    parser.add_argument("--matching-parallel",
+    parser.add_argument("--degree16",
                         help="multi_copy_extension --bench-json output "
-                             "(matching serial-vs-parallel head-to-head + "
-                             "degree-16 cells)")
+                             "(degree-16 cells)")
     parser.add_argument("--tolerance", type=float, default=2.0,
                         help="slowdown factor that fails the gate")
     args = parser.parse_args()
     if not (args.bench_json or args.stream_metrics or args.router_metrics
             or args.parallel_head or args.parallel_metrics
-            or args.matching_parallel):
+            or args.degree16):
         parser.error("nothing to check: pass --bench-json, "
                      "--stream-metrics, --router-metrics, "
                      "--parallel-head, --parallel-metrics, and/or "
-                     "--matching-parallel")
+                     "--degree16")
 
     baseline = load_json(args.baseline)
     failures = []
@@ -290,8 +249,8 @@ def main() -> int:
         failures += check_parallel_head(baseline, args.parallel_head)
     if args.parallel_metrics:
         failures += check_parallel_metrics(args.parallel_metrics)
-    if args.matching_parallel:
-        failures += check_matching_parallel(baseline, args.matching_parallel)
+    if args.degree16:
+        failures += check_degree16(baseline, args.degree16)
 
     if failures:
         print("\nPERF REGRESSIONS:", file=sys.stderr)
