@@ -2,9 +2,19 @@
 //
 // Where the Hong & He engine is fully asynchronous (workers race over a
 // lock-free queue of active vertices), this engine advances in barrier-
-// separated rounds over an explicit active set:
+// separated rounds over an explicit active set while that set is large,
+// and finishes with plain sequential code once it is not:
 //
+//   global_relabel(); seed_active();          // exact labels, full scan
 //   while (!active.empty()) {
+//     if (threads == 1 || active.size() < parallel_cutoff) {
+//       if (a BSP round ran since the last exact relabel + rescan) {
+//         global_relabel(); seed_active();    // termination check
+//         continue;
+//       }
+//       sequential_pass();                    // FIFO to completion
+//       continue;
+//     }
 //     if (work_since_last_global_relabel > 2 * threshold) global_relabel();
 //     discharge_active();   // parallel: push on admissible arcs wrt the
 //                           // round's frozen labels, relabel into
@@ -12,19 +22,29 @@
 //     apply_updates();      // barrier: commit label/excess deltas, build
 //                           // the next round's active set
 //   }
-//   global_relabel();       // termination check: labels may be broken by
-//                           // parallelism, so only an exact relabel can
-//                           // prove no active vertex remains
-//   (repeat the outer loop if the rescan re-activates anything)
+//   (an empty active set after BSP rounds also takes the termination
+//   check first)
 //
 // Within a round every vertex's label is frozen: pushes go only along arcs
 // admissible under the frozen labels (level(u) == level(v) + 1), relabels
 // are written to a separate next_level buffer, and receiver excess is
 // accumulated in an excess_diff side array.  The barrier then commits both
 // buffers.  Labels can still end up invalid *across* rounds (u and a
-// neighbor may both relabel in the same round), which is why termination
-// requires the final exact relabel — the same structure as WHFC's
-// ParallelPushRelabel (SNIPPETS.md 1-3).
+// neighbor may both relabel in the same round), which is why a BSP round
+// must be followed by an exact relabel plus a full rescan before the run
+// may end — the same structure as WHFC's ParallelPushRelabel
+// (SNIPPETS.md 1-3).
+//
+// Below the cutoff a round's two pool handoffs cost more than its work,
+// so the remainder of the run is one sequential FIFO pass over the
+// engine's own arrays: pushes and relabels commit immediately, labels are
+// live, and the same work-bounded trigger runs a plain queue BFS as the
+// global relabel.  Started from a valid labeling (which the rule above
+// guarantees), a sequential pass keeps it valid — level(u) <= level(w) + 1
+// on every residual arc u->w, with labels capped at n — so when its queue
+// empties no vertex with excess can still reach the sink and no
+// termination relabel is needed.  REPFLOW_CHECK_INVARIANTS verifies the
+// labeling before and after every pass.
 //
 // Memory-order audit (verified under ThreadSanitizer by
 // tests/parallel_test.cpp round-engine stress tests):
@@ -34,10 +54,14 @@
 //     [prologue | discharge round | commit | BFS depth | epilogue] so each
 //     phase observes everything the previous phase wrote.  No acquire/
 //     release pair inside the engine is load-bearing across phases.
-//     Phases smaller than the parallel cutoff skip the pool and run inline
-//     on the coordinator (a barrier costs more than a few hundred
-//     discharges); a sequential phase trivially preserves the same
-//     happens-before structure.
+//     BFS depths smaller than the parallel cutoff skip the pool and run
+//     inline on the coordinator; a sequential phase trivially preserves
+//     the same happens-before structure.
+//
+//   * The sequential pass and the plain-BFS global relabel run on the
+//     coordinator only, between pool runs (no worker is awake), so their
+//     relaxed loads and stores on flow_ / excess_ need no RMW: the next
+//     pool_.run() handoff publishes them like any other coordinator write.
 //
 //   * Within a discharge round, relaxed RMWs suffice because every shared
 //     cell is either single-writer or accumulate-only:
@@ -84,7 +108,8 @@ class RoundPushRelabel : public ParallelEngineBase {
  public:
   /// Per-run telemetry folded into the obs registry after every resume().
   struct RoundStats {
-    std::uint64_t rounds = 0;           ///< discharge/commit barriers run
+    std::uint64_t rounds = 0;           ///< BSP rounds + sequential passes
+    std::uint64_t sequential_passes = 0;  ///< sub-cutoff FIFO passes
     std::uint64_t global_relabels = 0;  ///< exact-label recomputations
     std::uint64_t discharge_work = 0;   ///< arc scans + per-discharge const
     std::uint64_t active_peak = 0;      ///< largest per-round active set
@@ -111,10 +136,13 @@ class RoundPushRelabel : public ParallelEngineBase {
 
   void reset_excess_after_restore(graph::Cap sink_excess);
 
-  /// Phases with fewer items than this run inline on the coordinating
-  /// thread instead of crossing the worker-pool barrier (two condition-
-  /// variable handoffs cost more than discharging a few hundred vertices).
-  /// Tests set 0 to force every phase through the pool.
+  /// Work below this size runs as plain sequential code on the
+  /// coordinating thread instead of crossing the worker-pool barrier (two
+  /// condition-variable handoffs cost more than discharging a few hundred
+  /// vertices): an active set smaller than this finishes the run as one
+  /// sequential FIFO pass, a network with fewer vertices gets a plain queue
+  /// BFS as its global relabel, and a smaller BFS depth runs inline.  Tests
+  /// set 0 to force every phase through the pool (at threads > 1).
   void set_parallel_cutoff(std::size_t cutoff) { parallel_cutoff_ = cutoff; }
 
   /// Cumulative round telemetry over every resume() so far.
@@ -135,20 +163,29 @@ class RoundPushRelabel : public ParallelEngineBase {
   /// Run one parallel phase: hand chunk ranges of `total` items to `job`
   /// via the relaxed cursor.  Below the cutoff the job runs inline as
   /// worker 0 (with every thread buffer cleared, preserving the
-  /// commit-reads-all-buffers contract); at or above it, on the pool.
+  /// merge-reads-all-buffers contract); at or above it, on the pool.
   template <typename Job>
   void run_phase(std::size_t total, Job&& job);
+  bool sequential(std::size_t work) const {
+    return threads_ == 1 || work < parallel_cutoff_;
+  }
   void seed_active();
   void discharge_active();
   void discharge(graph::Vertex u, int worker);
   void apply_updates();
+  /// Drain the active set to completion with FIFO push-relabel on the
+  /// coordinator; requires (and preserves) a valid labeling.
+  void sequential_pass();
+  void sequential_discharge(graph::Vertex u);
   void global_relabel();
+  void bfs_plain();
+  void bfs_level_synchronous();
   void filter_active();
   /// Stamp-dedup'd activation into `worker`'s buffer (at most one entry per
   /// vertex per round; source/sink enter as commit candidates only).
   void activate(graph::Vertex v, int worker);
   void check_round_invariants(const char* where) const;
-  void check_exact_labels(const char* where) const;
+  void check_valid_labels(const char* where) const;
 
   graph::RoundRelabelWorkspace owned_workspace_;
   graph::RoundRelabelWorkspace& ws_;
@@ -186,6 +223,7 @@ class RoundPushRelabel : public ParallelEngineBase {
     obs::Counter& discharges;
     obs::Counter& resumes;
     obs::Counter& rounds;
+    obs::Counter& sequential_passes;
     obs::Counter& global_relabels;
     obs::Counter& discharge_work;
     obs::Gauge& active_peak;

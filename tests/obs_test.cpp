@@ -399,14 +399,20 @@ TEST(Instrumentation, RoundEngineExportsRoundTelemetry) {
   Counter& rounds = Registry::global().counter("parallel.rounds");
   Counter& relabels = Registry::global().counter("parallel.global_relabels");
   Counter& work = Registry::global().counter("parallel.discharge_work");
+  Counter& passes = Registry::global().counter("parallel.sequential_passes");
   const std::uint64_t rounds_before = rounds.value();
   const std::uint64_t relabels_before = relabels.value();
   const std::uint64_t work_before = work.value();
+  const std::uint64_t passes_before = passes.value();
   core::solve(p, core::SolverKind::kParallelPushRelabelBinary, 2,
               core::EngineKind::kRound);
   EXPECT_GT(rounds.value(), rounds_before);
-  EXPECT_GT(relabels.value(), relabels_before);  // termination relabel
+  EXPECT_GT(relabels.value(), relabels_before);  // one per resume()
   EXPECT_GT(work.value(), work_before);
+  // A problem this small stays under the cutoff: every round it reports is
+  // a sequential pass.
+  EXPECT_GT(passes.value(), passes_before);
+  EXPECT_EQ(passes.value() - passes_before, rounds.value() - rounds_before);
   const MetricsSnapshot snap = Registry::global().snapshot();
   EXPECT_TRUE(snap.gauges.contains("parallel.active_peak"));
   EXPECT_TRUE(snap.histograms.contains("engine.round.solve_ms"));

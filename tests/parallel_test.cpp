@@ -226,42 +226,100 @@ TEST(ParallelStress, SweepCorpusRepeatedStaysExact) {
 
 class RoundMatchesSequential : public ::testing::TestWithParam<int> {};
 
+struct RoundRun {
+  Cap value = 0;
+  RoundPushRelabel::RoundStats stats;
+  graph::FlowCheck check;
+};
+
+RoundRun run_round(const graph::GeneratedNetwork& g, int threads,
+                   std::size_t cutoff) {
+  FlowNetwork net = g.net;  // fresh flows
+  net.clear_flow();
+  RoundPushRelabel engine(net, g.source, g.sink, threads);
+  engine.set_parallel_cutoff(cutoff);
+  RoundRun run;
+  run.value = engine.resume();
+  run.stats = engine.round_stats();
+  run.check = graph::validate_flow(net, g.source, g.sink);
+  return run;
+}
+
+// Cutoffs small enough that one resume() on the Sweep corpus starts with
+// pooled BSP rounds and finishes with the sequential tail (cutoff 0, used
+// by the forced-pool tests, never reaches the tail at threads > 1).
+constexpr std::size_t kMixedCutoffs[] = {4, 16};
+
 TEST_P(RoundMatchesSequential, RandomGeneralNetworks) {
-  Rng rng(4000 + GetParam());  // same corpus as the Hong & He sweep
-  auto g = graph::random_general(
-      2 + static_cast<std::int32_t>(rng.below(40)),
-      static_cast<std::int32_t>(rng.below(200)),
-      1 + static_cast<Cap>(rng.below(25)), rng);
+  const auto g = sweep_general_network(GetParam());
   const Cap reference = sequential_value(g.net, g.source, g.sink);
   for (int threads : {1, 2, 4}) {
-    FlowNetwork net = g.net;  // fresh flows
-    net.clear_flow();
-    RoundPushRelabel engine(net, g.source, g.sink, threads);
-    engine.set_parallel_cutoff(0);  // force the pool path on small graphs
-    EXPECT_EQ(engine.resume(), reference) << "threads=" << threads;
-    const auto check = graph::validate_flow(net, g.source, g.sink);
-    EXPECT_TRUE(check.ok) << check.reason;
-    EXPECT_GT(engine.round_stats().rounds, 0u);
-    EXPECT_GT(engine.round_stats().global_relabels, 0u);
+    // Force the pool path on small graphs (threads 1 runs sequentially).
+    const RoundRun run = run_round(g, threads, 0);
+    EXPECT_EQ(run.value, reference) << "threads=" << threads;
+    EXPECT_TRUE(run.check.ok) << run.check.reason;
+    EXPECT_GT(run.stats.rounds, 0u);
+    EXPECT_GT(run.stats.global_relabels, 0u);
   }
 }
 
 TEST_P(RoundMatchesSequential, RetrievalShapedNetworks) {
-  Rng rng(5000 + GetParam());
-  const auto left = 5 + static_cast<std::int32_t>(rng.below(60));
-  const auto right = 2 + static_cast<std::int32_t>(rng.below(14));
-  auto g = graph::random_bipartite(left, right, 2,
-                                   1 + static_cast<Cap>(rng.below(6)), rng);
+  const auto g = sweep_shaped_network(GetParam());
   const Cap reference = sequential_value(g.net, g.source, g.sink);
-  FlowNetwork net = g.net;
-  net.clear_flow();
-  RoundPushRelabel engine(net, g.source, g.sink, 2);
-  engine.set_parallel_cutoff(0);
-  EXPECT_EQ(engine.resume(), reference);
+  const RoundRun run = run_round(g, 2, 0);
+  EXPECT_EQ(run.value, reference);
+}
+
+TEST_P(RoundMatchesSequential, MixedBspAndSequentialTail) {
+  const graph::GeneratedNetwork general = sweep_general_network(GetParam());
+  const graph::GeneratedNetwork shaped = sweep_shaped_network(GetParam());
+  for (const auto* g : {&general, &shaped}) {
+    const Cap reference = sequential_value(g->net, g->source, g->sink);
+    for (std::size_t cutoff : kMixedCutoffs) {
+      for (int threads : {1, 2, 4}) {
+        const RoundRun run = run_round(*g, threads, cutoff);
+        EXPECT_EQ(run.value, reference)
+            << "cutoff=" << cutoff << " threads=" << threads;
+        EXPECT_TRUE(run.check.ok) << run.check.reason;
+        if (threads == 1) {
+          EXPECT_EQ(run.stats.rounds, run.stats.sequential_passes);
+        }
+      }
+    }
+  }
+}
+
+TEST(RoundMixedPath, SweepCorpusReachesBspRoundsThenSequentialTail) {
+  // Guards the mixed-path sweep above against silently testing only one
+  // side: at every width some run must cross from BSP rounds into a
+  // sequential pass within one resume().
+  for (int threads : {2, 4}) {
+    int mixed = 0;
+    for (int param = 0; param < 15; ++param) {
+      for (const auto& g :
+           {sweep_general_network(param), sweep_shaped_network(param)}) {
+        for (std::size_t cutoff : kMixedCutoffs) {
+          const RoundRun run = run_round(g, threads, cutoff);
+          if (run.stats.sequential_passes > 0 &&
+              run.stats.rounds > run.stats.sequential_passes) {
+            ++mixed;
+          }
+        }
+      }
+    }
+    EXPECT_GT(mixed, 0) << "threads=" << threads;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RoundMatchesSequential,
                          ::testing::Range(0, 15));
+
+// Sweep network 954 at cutoff 4 and 2 or 4 threads ends its BSP rounds
+// with an invalid labeling (residual arc 7->2 at levels 4 and 2).  Under
+// REPFLOW_CHECK_INVARIANTS the sequential pass's entry check fails on it
+// unless resume() runs the exact relabel before handing over the tail.
+INSTANTIATE_TEST_SUITE_P(BspLeavesInvalidLabels, RoundMatchesSequential,
+                         ::testing::Values(954));
 
 TEST(RoundIntegrated, ResumeConservesFlowAcrossCapacityChanges) {
   FlowNetwork net(3);
