@@ -126,16 +126,14 @@ struct RoundRelabelWorkspace {
   std::vector<std::int32_t> level;       // stable labels, committed per round
   std::vector<std::int32_t> next_level;  // owner-written relabel buffer
   std::vector<Vertex> active;            // current round's active set
-  std::vector<Vertex> frontier;          // global-relabel BFS frontier/queue
+  std::vector<Vertex> frontier;          // global-relabel BFS frontier
   std::vector<Vertex> next_frontier;
-  VertexFifo fifo;                       // sequential-pass active queue
 
   std::size_t retained_bytes() const {
     return (level.capacity() + next_level.capacity()) * sizeof(std::int32_t) +
            (active.capacity() + frontier.capacity() +
             next_frontier.capacity()) *
-               sizeof(Vertex) +
-           fifo.retained_bytes();
+               sizeof(Vertex);
   }
 };
 

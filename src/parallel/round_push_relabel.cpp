@@ -27,13 +27,13 @@ constexpr std::uint64_t kDischargeWorkConstant = 4;
 }  // namespace
 
 // A pool barrier is two mutex + condition-variable handoffs — far more
-// expensive than expanding a small BFS depth.  Discharge rounds only run at
-// or above the cutoff (smaller active sets take the sequential pass), but a
-// level-synchronous BFS over a large network still meets small depths;
-// those run inline on the coordinating thread as worker 0.  The memory-
-// order argument is unaffected (a sequential phase trivially happens-
-// before the next), but every thread buffer must be cleared first so the
-// merge does not re-read a previous parallel phase's output.
+// expensive than discharging a few hundred low-degree vertices.  Phases
+// below the cutoff therefore run inline on the coordinating thread as
+// worker 0 (one-thread engines never get here: resume() hands them to the
+// sequential delegate); the memory-order argument is unaffected (a
+// sequential phase trivially happens-before the next), but every thread
+// buffer must be cleared first so the commit does not re-read a previous
+// parallel round's activations.
 template <typename Job>
 void RoundPushRelabel::run_phase(std::size_t total, Job&& job) {
   // mo: relaxed — phase prologue on the coordinator; the pool handoff (or
@@ -68,6 +68,7 @@ RoundPushRelabel::RoundPushRelabel(graph::FlowNetwork& net, Vertex source,
                                    graph::RoundRelabelWorkspace* workspace)
     : ParallelEngineBase(net, source, sink, threads),
       ws_(workspace ? *workspace : owned_workspace_),
+      sequential_(net, source, sink),
       registry_(RegistryHandles::make()) {
   counters_.resize(static_cast<std::size_t>(threads));
   thread_bufs_.resize(static_cast<std::size_t>(threads));
@@ -76,6 +77,7 @@ RoundPushRelabel::RoundPushRelabel(graph::FlowNetwork& net, Vertex source,
 
 void RoundPushRelabel::rebind(Vertex source, Vertex sink) {
   bind(source, sink);
+  sequential_.rebind(source, sink);
   ensure_round_state();
 }
 
@@ -89,7 +91,6 @@ void RoundPushRelabel::ensure_round_state() {
   ws_.active.reserve(n + 2);
   ws_.frontier.reserve(n);
   ws_.next_frontier.reserve(n);
-  ws_.fifo.ensure_capacity(n);
   for (auto& buf : thread_bufs_) buf.reserve(n + 2);
   ensure_atomic_size(excess_diff_, n);
   ensure_atomic_size(last_activated_, n);
@@ -221,131 +222,20 @@ void RoundPushRelabel::apply_updates() {
   }
 }
 
-void RoundPushRelabel::sequential_pass() {
-  check_valid_labels("round_pr.pre_sequential_pass");
-  const auto n = static_cast<std::int32_t>(net_.num_vertices());
-  graph::VertexFifo& fifo = ws_.fifo;
-  fifo.clear();
-  for (const Vertex v : ws_.active) fifo.push(v);
-  ws_.active.clear();
-  while (!fifo.empty()) {
-    // An exact relabel only raises valid labels, so every vertex with
-    // excess below level n is still queued; those lifted to n are skipped.
-    if (work_since_gr_ > 2 * gr_threshold_) global_relabel();
-    const Vertex u = fifo.pop();
-    if (ws_.level[u] < n) sequential_discharge(u);
-  }
-  ++run_round_stats_.rounds;
-  ++run_round_stats_.sequential_passes;
-  check_round_invariants("round_pr.post_sequential_pass");
-  check_valid_labels("round_pr.post_sequential_pass");
-}
-
-void RoundPushRelabel::sequential_discharge(Vertex u) {
-  const auto n = static_cast<std::int32_t>(net_.num_vertices());
-  const std::int32_t begin = adj_offset_[u];
-  const std::int32_t end = adj_offset_[u + 1];
-  std::int32_t lu = ws_.level[u];
-  // mo: relaxed — coordinator-only pass between pool runs (header note);
-  // the loads and stores below are plain accesses in atomic clothing.
-  Cap e = excess_[u].load(std::memory_order_relaxed);
-  std::uint64_t work = kDischargeWorkConstant;
-  ++run_discharges_;
-  // Each scan pushes on every admissible arc until the excess is gone; if
-  // some remains, every admissible arc is saturated, so the minimum label
-  // over the arcs still residual is the relabel target.
-  for (;;) {
-    std::int32_t min_level = std::numeric_limits<std::int32_t>::max();
-    for (std::int32_t i = begin; i < end; ++i) {
-      const ArcId a = adj_arcs_[i];
-      // mo: relaxed — coordinator-only pass (see above).
-      const Cap f = flow_[a].load(std::memory_order_relaxed);
-      if (cap_[a] - f <= 0) continue;
-      const Vertex w = arc_head_[a];
-      if (ws_.level[w] != lu - 1) {
-        min_level = std::min(min_level, ws_.level[w]);
-        continue;
-      }
-      const Cap delta = std::min(e, cap_[a] - f);
-      // mo: relaxed — coordinator-only pass (see above).
-      flow_[a].store(f + delta, std::memory_order_relaxed);
-      flow_[a ^ 1].store(-(f + delta), std::memory_order_relaxed);
-      const Cap ew = excess_[w].load(std::memory_order_relaxed);
-      excess_[w].store(ew + delta, std::memory_order_relaxed);
-      // The source is never admissible (level n, and lu <= n - 1).
-      if (ew == 0 && w != sink_) ws_.fifo.push(w);
-      ++run_pushes_;
-      e -= delta;
-      if (e == 0) break;
-    }
-    work += static_cast<std::uint64_t>(end - begin);
-    if (e == 0) break;
-    // Levels cap at n — stranded excess is returned by
-    // drain_stranded_excess() instead of climbing back over the source.
-    lu = min_level >= n ? n : min_level + 1;
-    ++run_relabels_;
-    if (lu == n) break;
-  }
-  ws_.level[u] = lu;
-  // mo: relaxed — coordinator-only pass (see above).
-  excess_[u].store(e, std::memory_order_relaxed);
-  run_round_stats_.discharge_work += work;
-  work_since_gr_ += work;
-}
-
 void RoundPushRelabel::global_relabel() {
   ++run_round_stats_.global_relabels;
   ++stats_.global_relabels;
-  const auto n = static_cast<std::size_t>(net_.num_vertices());
-  const auto nn = static_cast<std::int32_t>(n);
-  std::fill(ws_.level.begin(),
-            ws_.level.begin() + static_cast<std::ptrdiff_t>(n), nn);
-  ws_.level[sink_] = 0;
-  if (sequential(n)) {
-    bfs_plain();
-  } else {
-    bfs_level_synchronous();
-  }
-  ws_.level[source_] = nn;
-  std::copy(ws_.level.begin(),
-            ws_.level.begin() + static_cast<std::ptrdiff_t>(n),
-            ws_.next_level.begin());
-  work_since_gr_ = 0;
-  check_valid_labels("round_pr.post_global_relabel");
-}
-
-// Backward BFS from the sink over residual arcs (never through the
-// source): a vertex is undiscovered while its level is still n.
-void RoundPushRelabel::bfs_plain() {
-  const auto nn = static_cast<std::int32_t>(net_.num_vertices());
-  std::vector<Vertex>& queue = ws_.frontier;
-  queue.clear();
-  queue.push_back(sink_);
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const Vertex v = queue[qi];
-    const std::int32_t depth = ws_.level[v] + 1;
-    for (std::int32_t s = adj_offset_[v]; s < adj_offset_[v + 1]; ++s) {
-      const ArcId a = adj_arcs_[s];
-      const Vertex w = arc_head_[a];
-      if (w == source_ || ws_.level[w] != nn) continue;
-      // Residual of the reverse arc (w -> v) admits w one level up.
-      // mo: relaxed — coordinator-only, between pool runs (header note).
-      if (cap_[a ^ 1] - flow_[a ^ 1].load(std::memory_order_relaxed) <= 0) {
-        continue;
-      }
-      ws_.level[w] = depth;
-      queue.push_back(w);
-    }
-  }
-}
-
-void RoundPushRelabel::bfs_level_synchronous() {
   if (++gr_stamp_ == 0) {
     // mo: relaxed — coordinator-only, between phases (BSP note).
     for (auto& stamp : bfs_stamp_) stamp.store(0, std::memory_order_relaxed);
     gr_stamp_ = 1;
   }
+  const auto n = static_cast<std::size_t>(net_.num_vertices());
+  const auto nn = static_cast<std::int32_t>(n);
+  std::fill(ws_.level.begin(),
+            ws_.level.begin() + static_cast<std::ptrdiff_t>(n), nn);
   ws_.frontier.clear();
+  ws_.level[sink_] = 0;
   // mo: relaxed — coordinator-only seed, published by the phase handoff.
   bfs_stamp_[sink_].store(gr_stamp_, std::memory_order_relaxed);
   ws_.frontier.push_back(sink_);
@@ -400,6 +290,12 @@ void RoundPushRelabel::bfs_level_synchronous() {
     }
     std::swap(ws_.frontier, ws_.next_frontier);
   }
+  ws_.level[source_] = nn;
+  std::copy(ws_.level.begin(),
+            ws_.level.begin() + static_cast<std::ptrdiff_t>(n),
+            ws_.next_level.begin());
+  work_since_gr_ = 0;
+  check_exact_labels("round_pr.post_global_relabel");
 }
 
 void RoundPushRelabel::seed_active() {
@@ -424,6 +320,32 @@ void RoundPushRelabel::filter_active() {
 }
 
 Cap RoundPushRelabel::resume() {
+  run_round_stats_ = RoundStats{};
+  run_pushes_ = run_relabels_ = run_discharges_ = 0;
+  const auto n = static_cast<std::size_t>(net_.num_vertices());
+  const Cap value = threads_ == 1 || n < parallel_cutoff_
+                        ? resume_sequential()
+                        : resume_rounds();
+  fold_run_stats();
+  return value;
+}
+
+Cap RoundPushRelabel::resume_sequential() {
+  const Cap value = sequential_.resume();
+  // Move the run's counts over, leaving the delegate's own total at zero.
+  const graph::FlowStats run = sequential_.stats();
+  sequential_.reset_stats();
+  run_pushes_ = run.pushes;
+  run_relabels_ = run.relabels;
+  stats_.global_relabels += run.global_relabels;
+  stats_.gap_jumps += run.gap_jumps;
+  run_round_stats_.rounds = 1;
+  run_round_stats_.sequential_passes = 1;
+  run_round_stats_.global_relabels = run.global_relabels;
+  return value;
+}
+
+Cap RoundPushRelabel::resume_rounds() {
   const auto n = static_cast<std::size_t>(net_.num_vertices());
   const auto m = static_cast<std::size_t>(net_.num_arcs());
   copy_in();
@@ -435,44 +357,55 @@ Cap RoundPushRelabel::resume() {
   }
   saturate_source_arcs();
   gr_threshold_ = static_cast<std::uint64_t>(n) + m;
-  run_round_stats_ = RoundStats{};
-  run_pushes_ = run_relabels_ = run_discharges_ = 0;
   global_relabel();
   seed_active();
-  // Set by every BSP round, cleared by an exact relabel plus a full rescan.
-  bool rescan_due = false;
   for (;;) {
-    const bool seq = sequential(ws_.active.size());
-    if (rescan_due && (seq || ws_.active.empty())) {
-      // Labels may be broken from parallelism, so only an exact relabel
-      // plus a rescan can prove termination (WHFC's termination check) —
-      // or hand the sequential pass the valid labeling it relies on.
-      global_relabel();
-      seed_active();
-      rescan_due = false;
-      continue;
+    while (!ws_.active.empty()) {
+      run_round_stats_.active_peak = std::max(
+          run_round_stats_.active_peak,
+          static_cast<std::uint64_t>(ws_.active.size()));
+      if (work_since_gr_ > 2 * gr_threshold_) {
+        global_relabel();
+        filter_active();
+        if (ws_.active.empty()) break;
+      }
+      discharge_active();
+      apply_updates();
+      ++run_round_stats_.rounds;
+      check_round_invariants("round_pr.post_commit");
     }
+    // No active vertex below level n is left — but labels may be broken
+    // from parallelism, so only an exact relabel plus a rescan can prove
+    // termination (WHFC's termination check).
+    global_relabel();
+    seed_active();
     if (ws_.active.empty()) break;
-    run_round_stats_.active_peak =
-        std::max(run_round_stats_.active_peak,
-                 static_cast<std::uint64_t>(ws_.active.size()));
-    if (seq) {
-      sequential_pass();  // leaves the active set empty
-      continue;
-    }
-    if (work_since_gr_ > 2 * gr_threshold_) {
-      global_relabel();
-      filter_active();
-      continue;
-    }
-    discharge_active();
-    apply_updates();
-    ++run_round_stats_.rounds;
-    rescan_due = true;
-    check_round_invariants("round_pr.post_commit");
   }
   drain_stranded_excess();
+  copy_out();
+  // mo: relaxed — single-threaded epilogue (see the seam note below).
+  const Cap value = excess_[sink_].load(std::memory_order_relaxed);
+  // Post-solve seam (single-threaded epilogue; every parallel phase ended
+  // at a pool barrier, so the relaxed loads in copy_out observed final
+  // values): flows copied back to the shared network must be a conserved
+  // flow whose sink inflow matches the engine's own excess accounting.
+  REPFLOW_CHECK_FLOW(net_, source_, sink_, "round_pr.post_resume");
+#if REPFLOW_INVARIANTS_ENABLED
+  if (net_.flow_into(sink_) != value) {
+    analysis::InvariantReport report;
+    report.fail("engine sink excess " + std::to_string(value) +
+                " != network sink inflow " +
+                std::to_string(net_.flow_into(sink_)));
+    analysis::enforce(report, "round_pr.post_resume");
+  }
+#endif
+  // Keep the delegate's excess bookkeeping in line with the network, in
+  // case a later resume() (after a cutoff change) is handed to it.
+  sequential_.reset_excess_after_restore(value);
+  return value;
+}
 
+void RoundPushRelabel::fold_run_stats() {
   stats_.pushes += run_pushes_;
   stats_.relabels += run_relabels_;
   // obs: per-resume — run totals folded once, after the last round.
@@ -496,30 +429,12 @@ Cap RoundPushRelabel::resume() {
       run_round_stats_.discharge_work;
   cumulative_round_stats_.active_peak = std::max(
       cumulative_round_stats_.active_peak, run_round_stats_.active_peak);
-
-  copy_out();
-  // mo: relaxed — single-threaded epilogue (see the seam note below).
-  const Cap value = excess_[sink_].load(std::memory_order_relaxed);
-  // Post-solve seam (single-threaded epilogue; every parallel phase ended
-  // at a pool barrier, so the relaxed loads in copy_out observed final
-  // values): flows copied back to the shared network must be a conserved
-  // flow whose sink inflow matches the engine's own excess accounting.
-  REPFLOW_CHECK_FLOW(net_, source_, sink_, "round_pr.post_resume");
-#if REPFLOW_INVARIANTS_ENABLED
-  if (net_.flow_into(sink_) != value) {
-    analysis::InvariantReport report;
-    report.fail("engine sink excess " + std::to_string(value) +
-                " != network sink inflow " +
-                std::to_string(net_.flow_into(sink_)));
-    analysis::enforce(report, "round_pr.post_resume");
-  }
-#endif
-  return value;
 }
 
-void RoundPushRelabel::reset_excess_after_restore(Cap /*sink_excess*/) {
-  // Excess is recomputed from the conserved flows at every resume(); there
-  // is no cross-run excess state to realign.
+void RoundPushRelabel::reset_excess_after_restore(Cap sink_excess) {
+  // The rounds recompute excess from the conserved flows at every resume();
+  // only the sequential delegate carries excess across runs.
+  sequential_.reset_excess_after_restore(sink_excess);
 }
 
 std::size_t RoundPushRelabel::retained_bytes() const {
@@ -533,6 +448,7 @@ std::size_t RoundPushRelabel::retained_bytes() const {
   }
   // External workspaces are counted by their owner (MaxflowWorkspace).
   if (&ws_ == &owned_workspace_) total += ws_.retained_bytes();
+  total += sequential_.workspace().retained_bytes();
   return total;
 }
 
@@ -579,13 +495,10 @@ void RoundPushRelabel::check_round_invariants(const char* where) const {
   analysis::enforce(report, where);
 }
 
-// Labels straight out of global_relabel() are exact distances, a
-// sequential pass must start from a valid labeling, and it keeps it
-// valid, so full height-function validity must hold at all three seams:
-// level(s)=n, level(t)=0, and level(u) <= level(w)+1 on every residual
-// arc u->w with u below n.  The sequential path's skipped termination
-// relabel rests on this.
-void RoundPushRelabel::check_valid_labels(const char* where) const {
+// Labels straight out of global_relabel() are exact distances, so full
+// height-function validity must hold: level(s)=n, level(t)=0, and
+// level(u) <= level(w)+1 on every residual arc.
+void RoundPushRelabel::check_exact_labels(const char* where) const {
   analysis::InvariantReport report;
   const auto n = static_cast<std::int32_t>(net_.num_vertices());
   if (ws_.level[source_] != n) report.fail("source level != n");
@@ -610,7 +523,7 @@ void RoundPushRelabel::check_valid_labels(const char* where) const {
 #else  // !REPFLOW_INVARIANTS_ENABLED
 
 void RoundPushRelabel::check_round_invariants(const char* /*where*/) const {}
-void RoundPushRelabel::check_valid_labels(const char* /*where*/) const {}
+void RoundPushRelabel::check_exact_labels(const char* /*where*/) const {}
 
 #endif  // REPFLOW_INVARIANTS_ENABLED
 

@@ -2,19 +2,9 @@
 //
 // Where the Hong & He engine is fully asynchronous (workers race over a
 // lock-free queue of active vertices), this engine advances in barrier-
-// separated rounds over an explicit active set while that set is large,
-// and finishes with plain sequential code once it is not:
+// separated rounds over an explicit active set:
 //
-//   global_relabel(); seed_active();          // exact labels, full scan
 //   while (!active.empty()) {
-//     if (threads == 1 || active.size() < parallel_cutoff) {
-//       if (a BSP round ran since the last exact relabel + rescan) {
-//         global_relabel(); seed_active();    // termination check
-//         continue;
-//       }
-//       sequential_pass();                    // FIFO to completion
-//       continue;
-//     }
 //     if (work_since_last_global_relabel > 2 * threshold) global_relabel();
 //     discharge_active();   // parallel: push on admissible arcs wrt the
 //                           // round's frozen labels, relabel into
@@ -22,29 +12,28 @@
 //     apply_updates();      // barrier: commit label/excess deltas, build
 //                           // the next round's active set
 //   }
-//   (an empty active set after BSP rounds also takes the termination
-//   check first)
+//   global_relabel();       // termination check: labels may be broken by
+//                           // parallelism, so only an exact relabel can
+//                           // prove no active vertex remains
+//   (repeat the outer loop if the rescan re-activates anything)
 //
 // Within a round every vertex's label is frozen: pushes go only along arcs
 // admissible under the frozen labels (level(u) == level(v) + 1), relabels
 // are written to a separate next_level buffer, and receiver excess is
 // accumulated in an excess_diff side array.  The barrier then commits both
 // buffers.  Labels can still end up invalid *across* rounds (u and a
-// neighbor may both relabel in the same round), which is why a BSP round
-// must be followed by an exact relabel plus a full rescan before the run
-// may end — the same structure as WHFC's ParallelPushRelabel
-// (SNIPPETS.md 1-3).
+// neighbor may both relabel in the same round), which is why termination
+// requires the final exact relabel — the same structure as WHFC's
+// ParallelPushRelabel (SNIPPETS.md 1-3).
 //
-// Below the cutoff a round's two pool handoffs cost more than its work,
-// so the remainder of the run is one sequential FIFO pass over the
-// engine's own arrays: pushes and relabels commit immediately, labels are
-// live, and the same work-bounded trigger runs a plain queue BFS as the
-// global relabel.  Started from a valid labeling (which the rule above
-// guarantees), a sequential pass keeps it valid — level(u) <= level(w) + 1
-// on every residual arc u->w, with labels capped at n — so when its queue
-// empties no vertex with excess can still reach the sink and no
-// termination relabel is needed.  REPFLOW_CHECK_INVARIANTS verifies the
-// labeling before and after every pass.
+// The mode is chosen per network, once per resume(): a one-thread engine,
+// or a network with fewer vertices than the parallel cutoff, is handed
+// whole to the sequential FIFO engine (graph::PushRelabel, exact global
+// relabel plus gap) running on the coordinator over the network itself.
+// On such networks every round would run inline on one thread anyway, and
+// a round's stamp exchanges, excess_diff commits, per-depth BFS buffers and
+// termination relabel cost more than the work they schedule.  The rounds
+// above serve only networks at or above the cutoff with threads > 1.
 //
 // Memory-order audit (verified under ThreadSanitizer by
 // tests/parallel_test.cpp round-engine stress tests):
@@ -54,14 +43,14 @@
 //     [prologue | discharge round | commit | BFS depth | epilogue] so each
 //     phase observes everything the previous phase wrote.  No acquire/
 //     release pair inside the engine is load-bearing across phases.
-//     BFS depths smaller than the parallel cutoff skip the pool and run
-//     inline on the coordinator; a sequential phase trivially preserves
-//     the same happens-before structure.
+//     Phases smaller than the parallel cutoff skip the pool and run inline
+//     on the coordinator (a barrier costs more than a few hundred
+//     discharges); a sequential phase trivially preserves the same
+//     happens-before structure.
 //
-//   * The sequential pass and the plain-BFS global relabel run on the
-//     coordinator only, between pool runs (no worker is awake), so their
-//     relaxed loads and stores on flow_ / excess_ need no RMW: the next
-//     pool_.run() handoff publishes them like any other coordinator write.
+//   * The sequential delegate touches none of the engine's atomic arrays:
+//     it reads and writes the FlowNetwork directly, on the coordinator,
+//     while the pool is idle, so it adds no cross-thread edge at all.
 //
 //   * Within a discharge round, relaxed RMWs suffice because every shared
 //     cell is either single-writer or accumulate-only:
@@ -98,6 +87,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/push_relabel.h"
 #include "graph/workspace.h"
 #include "obs/metrics.h"
 #include "parallel/engine_base.h"
@@ -109,7 +99,7 @@ class RoundPushRelabel : public ParallelEngineBase {
   /// Per-run telemetry folded into the obs registry after every resume().
   struct RoundStats {
     std::uint64_t rounds = 0;           ///< BSP rounds + sequential passes
-    std::uint64_t sequential_passes = 0;  ///< sub-cutoff FIFO passes
+    std::uint64_t sequential_passes = 0;  ///< resumes run by the delegate
     std::uint64_t global_relabels = 0;  ///< exact-label recomputations
     std::uint64_t discharge_work = 0;   ///< arc scans + per-discharge const
     std::uint64_t active_peak = 0;      ///< largest per-round active set
@@ -136,13 +126,12 @@ class RoundPushRelabel : public ParallelEngineBase {
 
   void reset_excess_after_restore(graph::Cap sink_excess);
 
-  /// Work below this size runs as plain sequential code on the
-  /// coordinating thread instead of crossing the worker-pool barrier (two
-  /// condition-variable handoffs cost more than discharging a few hundred
-  /// vertices): an active set smaller than this finishes the run as one
-  /// sequential FIFO pass, a network with fewer vertices gets a plain queue
-  /// BFS as its global relabel, and a smaller BFS depth runs inline.  Tests
-  /// set 0 to force every phase through the pool (at threads > 1).
+  /// A network with fewer vertices than this is solved by the sequential
+  /// delegate; on larger networks, phases with fewer items run inline on
+  /// the coordinating thread instead of crossing the worker-pool barrier
+  /// (two condition-variable handoffs cost more than discharging a few
+  /// hundred vertices).  Tests set 0 to force every phase through the pool
+  /// (at threads > 1).
   void set_parallel_cutoff(std::size_t cutoff) { parallel_cutoff_ = cutoff; }
 
   /// Cumulative round telemetry over every resume() so far.
@@ -160,35 +149,36 @@ class RoundPushRelabel : public ParallelEngineBase {
   };
 
   void ensure_round_state();
+  /// The whole resume() on the sequential delegate.
+  graph::Cap resume_sequential();
+  /// The whole resume() as BSP rounds.
+  graph::Cap resume_rounds();
+  /// Fold the run's telemetry into stats_, the registry and round_stats().
+  void fold_run_stats();
   /// Run one parallel phase: hand chunk ranges of `total` items to `job`
   /// via the relaxed cursor.  Below the cutoff the job runs inline as
   /// worker 0 (with every thread buffer cleared, preserving the
-  /// merge-reads-all-buffers contract); at or above it, on the pool.
+  /// commit-reads-all-buffers contract); at or above it, on the pool.
   template <typename Job>
   void run_phase(std::size_t total, Job&& job);
-  bool sequential(std::size_t work) const {
-    return threads_ == 1 || work < parallel_cutoff_;
-  }
   void seed_active();
   void discharge_active();
   void discharge(graph::Vertex u, int worker);
   void apply_updates();
-  /// Drain the active set to completion with FIFO push-relabel on the
-  /// coordinator; requires (and preserves) a valid labeling.
-  void sequential_pass();
-  void sequential_discharge(graph::Vertex u);
   void global_relabel();
-  void bfs_plain();
-  void bfs_level_synchronous();
   void filter_active();
   /// Stamp-dedup'd activation into `worker`'s buffer (at most one entry per
   /// vertex per round; source/sink enter as commit candidates only).
   void activate(graph::Vertex v, int worker);
   void check_round_invariants(const char* where) const;
-  void check_valid_labels(const char* where) const;
+  void check_exact_labels(const char* where) const;
 
   graph::RoundRelabelWorkspace owned_workspace_;
   graph::RoundRelabelWorkspace& ws_;
+  // Sequential engine for one-thread engines and sub-cutoff networks (owns
+  // its MaxflowWorkspace).  Its stats are moved into stats_ after every
+  // run, so it publishes nothing of its own.
+  graph::PushRelabel sequential_;
 
   // Concurrently-written side arrays (see the memory-order audit above).
   std::vector<std::atomic<graph::Cap>> excess_diff_;

@@ -245,109 +245,96 @@ RoundRun run_round(const graph::GeneratedNetwork& g, int threads,
   return run;
 }
 
-// Cutoffs small enough that one resume() on the Sweep corpus starts with
-// pooled BSP rounds and finishes with the sequential tail (cutoff 0, used
-// by the forced-pool tests, never reaches the tail at threads > 1).
-constexpr std::size_t kMixedCutoffs[] = {4, 16};
+// Cutoff 0 forces every phase through the pool at threads > 1; a cutoff
+// above every Sweep network's size hands the whole run to the sequential
+// delegate, as the default does for Figure 10's ~900-vertex networks.
+constexpr std::size_t kPoolCutoff = 0;
+constexpr std::size_t kDelegateCutoff = 1 << 20;
 
 TEST_P(RoundMatchesSequential, RandomGeneralNetworks) {
   const auto g = sweep_general_network(GetParam());
   const Cap reference = sequential_value(g.net, g.source, g.sink);
   for (int threads : {1, 2, 4}) {
-    // Force the pool path on small graphs (threads 1 runs sequentially).
-    const RoundRun run = run_round(g, threads, 0);
+    const RoundRun run = run_round(g, threads, kPoolCutoff);
     EXPECT_EQ(run.value, reference) << "threads=" << threads;
     EXPECT_TRUE(run.check.ok) << run.check.reason;
     EXPECT_GT(run.stats.rounds, 0u);
     EXPECT_GT(run.stats.global_relabels, 0u);
+    if (threads == 1) {
+      // A one-thread engine always hands the run to the delegate.
+      EXPECT_EQ(run.stats.sequential_passes, 1u);
+    } else {
+      EXPECT_EQ(run.stats.sequential_passes, 0u);
+      EXPECT_GT(run.stats.discharge_work, 0u);
+    }
   }
 }
 
 TEST_P(RoundMatchesSequential, RetrievalShapedNetworks) {
   const auto g = sweep_shaped_network(GetParam());
   const Cap reference = sequential_value(g.net, g.source, g.sink);
-  const RoundRun run = run_round(g, 2, 0);
-  EXPECT_EQ(run.value, reference);
-}
-
-TEST_P(RoundMatchesSequential, MixedBspAndSequentialTail) {
-  const graph::GeneratedNetwork general = sweep_general_network(GetParam());
-  const graph::GeneratedNetwork shaped = sweep_shaped_network(GetParam());
-  for (const auto* g : {&general, &shaped}) {
-    const Cap reference = sequential_value(g->net, g->source, g->sink);
-    for (std::size_t cutoff : kMixedCutoffs) {
-      for (int threads : {1, 2, 4}) {
-        const RoundRun run = run_round(*g, threads, cutoff);
-        EXPECT_EQ(run.value, reference)
-            << "cutoff=" << cutoff << " threads=" << threads;
-        EXPECT_TRUE(run.check.ok) << run.check.reason;
-        if (threads == 1) {
-          EXPECT_EQ(run.stats.rounds, run.stats.sequential_passes);
-        }
-      }
-    }
-  }
-}
-
-TEST(RoundMixedPath, SweepCorpusReachesBspRoundsThenSequentialTail) {
-  // Guards the mixed-path sweep above against silently testing only one
-  // side: at every width some run must cross from BSP rounds into a
-  // sequential pass within one resume().
-  for (int threads : {2, 4}) {
-    int mixed = 0;
-    for (int param = 0; param < 15; ++param) {
-      for (const auto& g :
-           {sweep_general_network(param), sweep_shaped_network(param)}) {
-        for (std::size_t cutoff : kMixedCutoffs) {
-          const RoundRun run = run_round(g, threads, cutoff);
-          if (run.stats.sequential_passes > 0 &&
-              run.stats.rounds > run.stats.sequential_passes) {
-            ++mixed;
-          }
-        }
-      }
-    }
-    EXPECT_GT(mixed, 0) << "threads=" << threads;
+  for (std::size_t cutoff : {kPoolCutoff, kDelegateCutoff}) {
+    const RoundRun run = run_round(g, 2, cutoff);
+    EXPECT_EQ(run.value, reference) << "cutoff=" << cutoff;
+    EXPECT_TRUE(run.check.ok) << run.check.reason;
+    EXPECT_EQ(run.stats.sequential_passes,
+              cutoff == kDelegateCutoff ? 1u : 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RoundMatchesSequential,
                          ::testing::Range(0, 15));
 
-// Sweep network 954 at cutoff 4 and 2 or 4 threads ends its BSP rounds
-// with an invalid labeling (residual arc 7->2 at levels 4 and 2).  Under
-// REPFLOW_CHECK_INVARIANTS the sequential pass's entry check fails on it
-// unless resume() runs the exact relabel before handing over the tail.
-INSTANTIATE_TEST_SUITE_P(BspLeavesInvalidLabels, RoundMatchesSequential,
-                         ::testing::Values(954));
-
 TEST(RoundIntegrated, ResumeConservesFlowAcrossCapacityChanges) {
-  FlowNetwork net(3);
-  const auto sa = net.add_arc(0, 1, 10);
-  const auto at = net.add_arc(1, 2, 3);
-  RoundPushRelabel engine(net, 0, 2, 2);
-  EXPECT_EQ(engine.resume(), 3);
-  EXPECT_EQ(net.flow(at), 3);
-  net.set_capacity(at, 8);
-  EXPECT_EQ(engine.resume(), 8);
-  EXPECT_EQ(net.flow(sa), 8);
-  const auto check = graph::validate_flow(net, 0, 2);
-  EXPECT_TRUE(check.ok) << check.reason;
+  for (std::size_t cutoff : {kPoolCutoff, kDelegateCutoff}) {
+    FlowNetwork net(3);
+    const auto sa = net.add_arc(0, 1, 10);
+    const auto at = net.add_arc(1, 2, 3);
+    RoundPushRelabel engine(net, 0, 2, 2);
+    engine.set_parallel_cutoff(cutoff);
+    EXPECT_EQ(engine.resume(), 3) << "cutoff=" << cutoff;
+    EXPECT_EQ(net.flow(at), 3);
+    net.set_capacity(at, 8);
+    EXPECT_EQ(engine.resume(), 8) << "cutoff=" << cutoff;
+    EXPECT_EQ(net.flow(sa), 8);
+    const auto check = graph::validate_flow(net, 0, 2);
+    EXPECT_TRUE(check.ok) << check.reason;
+  }
 }
 
 TEST(RoundIntegrated, RestoredSnapshotsAreHonored) {
+  for (std::size_t cutoff : {kPoolCutoff, kDelegateCutoff}) {
+    FlowNetwork net(3);
+    net.add_arc(0, 1, 6);
+    const auto at = net.add_arc(1, 2, 2);
+    RoundPushRelabel engine(net, 0, 2, 2);
+    engine.set_parallel_cutoff(cutoff);
+    EXPECT_EQ(engine.resume(), 2) << "cutoff=" << cutoff;
+    const auto snapshot = net.save_flows();
+    net.set_capacity(at, 6);
+    EXPECT_EQ(engine.resume(), 6) << "cutoff=" << cutoff;
+    net.restore_flows(snapshot);
+    engine.reset_excess_after_restore(2);
+    net.set_capacity(at, 4);
+    EXPECT_EQ(engine.resume(), 4) << "cutoff=" << cutoff;
+  }
+}
+
+TEST(RoundIntegrated, DelegateFollowsFlowsLeftByRounds) {
+  // A cutoff change between resumes moves one network from the rounds to
+  // the sequential delegate; the delegate must pick up the flow the rounds
+  // already sent instead of counting the sink from zero.
   FlowNetwork net(3);
-  net.add_arc(0, 1, 6);
-  const auto at = net.add_arc(1, 2, 2);
+  net.add_arc(0, 1, 10);
+  const auto at = net.add_arc(1, 2, 3);
   RoundPushRelabel engine(net, 0, 2, 2);
-  EXPECT_EQ(engine.resume(), 2);
-  const auto snapshot = net.save_flows();
-  net.set_capacity(at, 6);
-  EXPECT_EQ(engine.resume(), 6);
-  net.restore_flows(snapshot);
-  engine.reset_excess_after_restore(2);
-  net.set_capacity(at, 4);
-  EXPECT_EQ(engine.resume(), 4);
+  engine.set_parallel_cutoff(kPoolCutoff);
+  EXPECT_EQ(engine.resume(), 3);
+  engine.set_parallel_cutoff(kDelegateCutoff);
+  net.set_capacity(at, 8);
+  EXPECT_EQ(engine.resume(), 8);
+  EXPECT_EQ(engine.round_stats().sequential_passes, 1u);
+  EXPECT_TRUE(graph::validate_flow(net, 0, 2).ok);
 }
 
 TEST(RoundIntegrated, SharedWorkspaceReusedAcrossEnginesAndRebinds) {
