@@ -5,14 +5,12 @@
 namespace repflow::core {
 
 BatchSolver::BatchSolver(BatchOptions options) : options_(options) {
-  if (options_.threads < 1 || options_.solver_threads < 1 ||
-      options_.effective_policy().threads < 1) {
+  if (options_.threads < 1 || options_.policy.threads < 1) {
     throw std::invalid_argument("BatchSolver: bad thread counts");
   }
-  const ExecutionPolicy policy = options_.effective_policy();
   contexts_.reserve(static_cast<std::size_t>(options_.threads));
   for (int t = 0; t < options_.threads; ++t) {
-    contexts_.push_back(std::make_unique<ExecutionContext>(policy));
+    contexts_.push_back(std::make_unique<ExecutionContext>(options_.policy));
   }
   if (options_.threads > 1) {
     workers_.reserve(static_cast<std::size_t>(options_.threads));

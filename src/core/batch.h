@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -24,18 +23,9 @@ namespace repflow::core {
 
 struct BatchOptions {
   int threads = 2;
-  SolverKind solver = SolverKind::kPushRelabelBinary;
-  /// Threads given to each solver (only for the parallel solver kind).
-  int solver_threads = 1;
-  /// Per-worker serving policy.  When set it overrides `solver` /
-  /// `solver_threads` entirely (which then exist only for source
-  /// compatibility); leaving it empty pins `solver`, i.e.
-  /// ExecutionPolicy::pinned(solver, solver_threads).
-  std::optional<ExecutionPolicy> policy;
-
-  ExecutionPolicy effective_policy() const {
-    return policy ? *policy : ExecutionPolicy::pinned(solver, solver_threads);
-  }
+  /// Per-worker serving policy; its `threads` are each solver's own.
+  ExecutionPolicy policy =
+      ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary, 1);
 };
 
 /// Reusable batch executor: worker threads and their per-worker

@@ -15,16 +15,15 @@ namespace repflow::core {
 
 /// Which multithreaded engine backs kParallelPushRelabelBinary.  The seam
 /// mirrors SolverKind one level down: callers pin an engine the same way
-/// they pin a solver, and kAuto defers to the measured `engine.<id>.solve_ms`
-/// histograms (see resolve_engine_kind in solver_pool.h).
+/// they pin a solver (ExecutionPolicy::engine).
 enum class EngineKind {
   kHongHe,  ///< asynchronous lock-free push-relabel (Hong & He 2011)
   kRound,   ///< bulk-synchronous round-based push-relabel (WHFC-style)
-  kAuto,    ///< histogram-driven choice between the two
+  /// Alias of kRound, kept only because perfbench/ still names it.
+  kAuto = kRound,
 };
 
-/// Every concrete engine, in declaration order (kAuto is a selection policy,
-/// not an engine, so it is deliberately absent).
+/// Every engine, in declaration order.
 inline constexpr EngineKind kAllEngineKinds[] = {EngineKind::kHongHe,
                                                  EngineKind::kRound};
 
@@ -35,8 +34,6 @@ constexpr const char* engine_id(EngineKind kind) {
       return "hong_he";
     case EngineKind::kRound:
       return "round";
-    case EngineKind::kAuto:
-      return "auto";
   }
   return "?";
 }
@@ -45,7 +42,6 @@ constexpr const char* engine_id(EngineKind kind) {
 constexpr std::optional<EngineKind> engine_kind_from_id(std::string_view id) {
   if (id == "hong_he") return EngineKind::kHongHe;
   if (id == "round") return EngineKind::kRound;
-  if (id == "auto") return EngineKind::kAuto;
   return std::nullopt;
 }
 

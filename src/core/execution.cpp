@@ -51,8 +51,7 @@ SolverMetrics& metrics_for(SolverKind kind) {
 
 }  // namespace
 
-SolverKind select_by_degree(const RetrievalProblem& problem,
-                            double degree_threshold) {
+SolverKind choose_solver(const RetrievalProblem& problem) {
   const std::int64_t q = problem.query_size();
   if (q == 0) return SolverKind::kIntegratedMatching;
   std::int64_t arcs = 0;
@@ -64,7 +63,7 @@ SolverKind select_by_degree(const RetrievalProblem& problem,
   // nearly-complete instances cross the threshold.
   const double avg_degree =
       static_cast<double>(arcs) / static_cast<double>(q);
-  return avg_degree <= degree_threshold ? SolverKind::kIntegratedMatching
+  return avg_degree <= kDegreeThreshold ? SolverKind::kIntegratedMatching
                                         : SolverKind::kPushRelabelBinary;
 }
 
@@ -82,35 +81,14 @@ void ExecutionContext::set_policy(const ExecutionPolicy& policy) {
 SolverKind ExecutionContext::select(const RetrievalProblem& problem) {
   obs::PolicyInstruments& pi = obs::PolicyInstruments::global();
   pi.decisions.add(1);
-  const SolverKind kind = [&]() -> SolverKind {
-    switch (policy_.mode) {
-      case SelectionMode::kPinned:
-        return policy_.pinned_kind;
-      case SelectionMode::kFixedThreshold:
-        return select_by_degree(problem, policy_.degree_threshold);
-      case SelectionMode::kHistogram: {
-        // The adaptive choice space is {matching, alg6} (the same two kinds
-        // the degree threshold arbitrates).  Once both solve-time histograms
-        // carry enough observations, the measured means replace the
-        // hard-coded cutover: the kind that has actually been faster on this
-        // workload wins.  In REPFLOW_OBS_DISABLED builds the histograms stay
-        // empty, so this mode permanently falls back to the threshold.
-        const obs::HistogramSummary matching =
-            metrics_for(SolverKind::kIntegratedMatching).solve_ms.summary();
-        const obs::HistogramSummary flow =
-            metrics_for(SolverKind::kPushRelabelBinary).solve_ms.summary();
-        if (matching.count >= policy_.min_samples &&
-            flow.count >= policy_.min_samples) {
-          pi.histogram_picks.add(1);
-          return matching.mean <= flow.mean ? SolverKind::kIntegratedMatching
-                                            : SolverKind::kPushRelabelBinary;
-        }
-        pi.histogram_fallbacks.add(1);
-        return select_by_degree(problem, policy_.degree_threshold);
-      }
-    }
-    throw std::logic_error("ExecutionContext::select: unknown selection mode");
-  }();
+  SolverKind kind;
+  if (policy_.kind) {
+    pi.pinned_picks.add(1);
+    kind = *policy_.kind;
+  } else {
+    pi.degree_picks.add(1);
+    kind = choose_solver(problem);
+  }
   // Tag the decision onto the ambient query's flight chain (id 0 = no query
   // in flight, e.g. facade solves outside any serving loop).
   const obs::ActiveQuery active = obs::QueryScope::current();

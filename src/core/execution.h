@@ -2,18 +2,14 @@
 // public entry point (the solve() facade, QueryStreamScheduler, BatchSolver,
 // IncrementalQuerySession) reaches the solver catalog.
 //
-// Before this layer existed, solver-kind, thread-count, and adaptive-
-// selection knobs were scattered over four entry points (SolveOptions,
-// BatchOptions, the stream scheduler's constructor, the facade's
-// thread_local pool).  ExecutionPolicy collapses them into one value type,
-// and ExecutionContext owns the machinery every caller needs anyway: the
-// warm SolverPool, a reusable scratch SolveResult, and the policy that maps
-// a problem to a catalog kind.  Serving-loop features (admission control in
-// QueryRouter, histogram-driven selection) are implemented once, here,
-// instead of once per entry point.
+// ExecutionPolicy is the one way to choose a solver: a pinned catalog kind
+// or the degree rule (choose_solver), plus the parallel kind's thread count
+// and engine.  ExecutionContext owns the machinery every caller needs
+// anyway: the warm SolverPool, a reusable scratch SolveResult, and the
+// policy that maps a problem to a catalog kind.
 #pragma once
 
-#include <cstdint>
+#include <optional>
 
 #include "core/incremental_session.h"
 #include "core/problem.h"
@@ -22,67 +18,38 @@
 
 namespace repflow::core {
 
-/// How an ExecutionPolicy maps a problem to a solver kind.
-enum class SelectionMode {
-  kPinned,          ///< always `pinned_kind`
-  kFixedThreshold,  ///< avg replica degree <= threshold -> matching kernel
-  kHistogram,       ///< per-kind solve-time histograms decide; threshold
-                    ///< fallback until both kinds have `min_samples`
-};
+/// The degree rule's cutover: instances with average replica degree at or
+/// below this run the Hopcroft-Karp matching kernel, denser ones the
+/// integrated push-relabel driver.
+inline constexpr double kDegreeThreshold = 16.0;
 
 /// Solver selection + execution knobs for one serving context.  A plain
 /// value type: copy it, tweak a field, hand it to ExecutionContext /
 /// QueryStreamScheduler / BatchOptions / the solve() facade.
 struct ExecutionPolicy {
-  SelectionMode mode = SelectionMode::kFixedThreshold;
-  /// The kind used by kPinned mode (ignored otherwise).
-  SolverKind pinned_kind = SolverKind::kPushRelabelBinary;
-  /// kFixedThreshold cutover (also the kHistogram fallback): instances with
-  /// average replica degree <= this run the Hopcroft-Karp matching kernel,
-  /// denser ones the integrated push-relabel driver.
-  double degree_threshold = 16.0;
-  /// kHistogram: observations each candidate kind's `solver.<id>.solve_ms`
-  /// histogram needs before the measured means replace the threshold.
-  std::uint64_t min_samples = 64;
+  /// Set: always run this catalog kind.  Unset: choose_solver()'s degree
+  /// rule picks per problem.
+  std::optional<SolverKind> kind;
   /// Worker count for kParallelPushRelabelBinary (ignored by the
   /// sequential kinds; must be >= 1).
   int threads = 2;
   /// Which parallel engine kParallelPushRelabelBinary runs (ignored by the
-  /// sequential kinds).  kAuto re-resolves per solve against the
-  /// `engine.<id>.solve_ms` histograms (see core::resolve_engine_kind);
-  /// pinning kHongHe or kRound skips resolution.
-  EngineKind engine = EngineKind::kAuto;
+  /// sequential kinds).
+  EngineKind engine = EngineKind::kRound;
 
   static ExecutionPolicy pinned(SolverKind kind, int threads = 2) {
-    ExecutionPolicy p;
-    p.mode = SelectionMode::kPinned;
-    p.pinned_kind = kind;
-    p.threads = threads;
-    return p;
-  }
-  static ExecutionPolicy adaptive(double degree_threshold = 16.0,
-                                  int threads = 2) {
-    ExecutionPolicy p;
-    p.mode = SelectionMode::kFixedThreshold;
-    p.degree_threshold = degree_threshold;
-    p.threads = threads;
-    return p;
-  }
-  static ExecutionPolicy histogram_driven(std::uint64_t min_samples = 64,
-                                          int threads = 2) {
-    ExecutionPolicy p;
-    p.mode = SelectionMode::kHistogram;
-    p.min_samples = min_samples;
-    p.threads = threads;
-    return p;
+    return ExecutionPolicy{kind, threads};
   }
 };
 
-/// The fixed-threshold selection rule shared by choose_solver() and the
-/// adaptive policy modes: low average replica degree -> matching kernel,
-/// dense instances -> integrated push-relabel (see solve.h for rationale).
-SolverKind select_by_degree(const RetrievalProblem& problem,
-                            double degree_threshold);
+/// The degree rule: every retrieval network is a bipartite b-matching, and
+/// the Hopcroft-Karp kernel wins whenever the bucket->disk adjacency is
+/// sparse (bounded replica degree — all the paper's workloads, where the
+/// copy count c is 2..5).  Dense instances (average replica degree above
+/// kDegreeThreshold, i.e. nearly-complete bipartite graphs) fall back to
+/// the integrated push-relabel driver, whose per-probe cost does not scale
+/// with the arc count the way phase BFS layering does.
+SolverKind choose_solver(const RetrievalProblem& problem);
 
 /// One serving context: policy + warm solver shells + scratch result.
 /// Steady-state solves through a context perform zero heap allocations on

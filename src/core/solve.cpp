@@ -10,12 +10,8 @@ ExecutionContext& thread_execution_context() {
   return context;
 }
 
-SolverKind choose_solver(const RetrievalProblem& problem) {
-  return select_by_degree(problem, 16.0);
-}
-
-EngineKind choose_engine(EngineKind requested) {
-  return resolve_engine_kind(requested);
+SolveResult solve(const RetrievalProblem& problem) {
+  return solve(problem, ExecutionPolicy{});
 }
 
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
@@ -26,11 +22,6 @@ SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
   SolveResult result;
   context.solve_into(problem, kind, result);
   return result;
-}
-
-SolveResult solve(const RetrievalProblem& problem,
-                  const SolveOptions& options) {
-  return solve(problem, options.policy());
 }
 
 SolveResult solve(const RetrievalProblem& problem,

@@ -5,7 +5,7 @@
 // incremental sessions run on.
 #pragma once
 
-#include <optional>
+#include <initializer_list>
 
 #include "core/execution.h"
 #include "core/problem.h"
@@ -13,58 +13,26 @@
 
 namespace repflow::core {
 
-/// Facade options.  Leaving `kind` unset picks the solver adaptively from
-/// the problem's shape (see choose_solver); setting it pins one catalog
-/// kind.  `threads` only matters for kParallelPushRelabelBinary (ignored
-/// otherwise, must be >= 1).  For richer control (histogram-driven
-/// selection, custom thresholds) pass an ExecutionPolicy instead.
-struct SolveOptions {
-  std::optional<SolverKind> kind;
-  int threads = 2;
-  /// Parallel engine for kParallelPushRelabelBinary (ignored otherwise).
-  /// kAuto picks per solve off the `engine.<id>.solve_ms` histograms.
-  EngineKind engine = EngineKind::kAuto;
-
-  /// The ExecutionPolicy these options denote: pinned when `kind` is set,
-  /// the default fixed-threshold adaptive policy otherwise.
-  ExecutionPolicy policy() const {
-    ExecutionPolicy p = kind ? ExecutionPolicy::pinned(*kind, threads)
-                             : ExecutionPolicy::adaptive(16.0, threads);
-    p.engine = engine;
-    return p;
-  }
-};
-
-/// The adaptive selection policy: every retrieval network is a bipartite
-/// b-matching, and the Hopcroft-Karp kernel wins whenever the bucket->disk
-/// adjacency is sparse (bounded replica degree — all the paper's workloads,
-/// where the copy count c is 2..5).  Dense instances (average replica
-/// degree above ~16, i.e. nearly-complete bipartite graphs) fall back to
-/// the integrated push-relabel driver, whose per-probe cost does not scale
-/// with the arc count the way phase BFS layering does.
-/// Equivalent to select_by_degree(problem, 16.0).
-SolverKind choose_solver(const RetrievalProblem& problem);
-
-/// The adaptive engine choice behind EngineKind::kAuto: resolve `requested`
-/// to a concrete parallel engine off the `engine.<id>.solve_ms` latency
-/// histograms (lower observed mean wins once both engines are warmed up;
-/// kRound until then).  Equivalent to resolve_engine_kind(requested).
-EngineKind choose_engine(EngineKind requested = EngineKind::kAuto);
+/// Adaptive form: run the kind choose_solver() picks for `problem` (the
+/// same as solve(problem, ExecutionPolicy{})).
+SolveResult solve(const RetrievalProblem& problem);
 
 /// Solve `problem` with the chosen algorithm.  `threads` and `engine` only
 /// matter for kParallelPushRelabelBinary (ignored otherwise; threads must
 /// be >= 1).
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
-                  int threads = 2, EngineKind engine = EngineKind::kAuto);
+                  int threads = 2, EngineKind engine = EngineKind::kRound);
 
-/// Options form: `solve(p, {})` runs the adaptive policy.
-SolveResult solve(const RetrievalProblem& problem,
-                  const SolveOptions& options);
-
-/// Policy form: run under an explicit ExecutionPolicy (pinned, threshold-
-/// adaptive, or histogram-driven) on the calling thread's context.
+/// Policy form: run under an explicit ExecutionPolicy (pinned or degree
+/// rule) on the calling thread's context.
 SolveResult solve(const RetrievalProblem& problem,
                   const ExecutionPolicy& policy);
+
+/// `solve(p, {})` would otherwise bind to the kind form above with a
+/// value-initialised SolverKind and silently run alg1; the adaptive form is
+/// solve(problem).
+SolveResult solve(const RetrievalProblem& problem,
+                  std::initializer_list<SolverKind>) = delete;
 
 /// The calling thread's serving context (warm solver shells, scratch
 /// result).  Exposed so long-running callers can pin a policy once via

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "parallel/parallel_engine.h"
-#include "support/timing.h"
 
 namespace repflow::core {
 
@@ -27,24 +26,6 @@ PoolMetrics& pool_metrics() {
   return metrics;
 }
 
-// Per-engine observability for the parallel kind: the solve-latency
-// histogram doubles as the kAuto decision input (resolve_engine_kind), so
-// running either engine automatically trains the selector.
-struct EngineMetrics {
-  obs::Histogram& solve_ms;
-  obs::Counter& solves;
-};
-
-EngineMetrics& engine_metrics(EngineKind kind) {
-  static EngineMetrics hong_he{
-      obs::Registry::global().histogram("engine.hong_he.solve_ms"),
-      obs::Registry::global().counter("engine.hong_he.solves")};
-  static EngineMetrics round{
-      obs::Registry::global().histogram("engine.round.solve_ms"),
-      obs::Registry::global().counter("engine.round.solves")};
-  return kind == EngineKind::kRound ? round : hong_he;
-}
-
 // Slot accessor: construct on first use (a rebuild), reuse afterwards.
 template <typename T, typename... Args>
 T& slot(std::unique_ptr<T>& shell, Args&&... args) {
@@ -58,20 +39,6 @@ T& slot(std::unique_ptr<T>& shell, Args&&... args) {
 }
 
 }  // namespace
-
-EngineKind resolve_engine_kind(EngineKind requested,
-                               std::uint64_t min_samples) {
-  if (requested != EngineKind::kAuto) return requested;
-  const obs::HistogramSummary hong_he =
-      engine_metrics(EngineKind::kHongHe).solve_ms.summary();
-  const obs::HistogramSummary round =
-      engine_metrics(EngineKind::kRound).solve_ms.summary();
-  if (hong_he.count >= min_samples && round.count >= min_samples) {
-    return hong_he.mean < round.mean ? EngineKind::kHongHe
-                                     : EngineKind::kRound;
-  }
-  return EngineKind::kRound;
-}
 
 SolverPool::SolverPool(int threads) : threads_(threads) {
   if (threads < 1) {
@@ -111,9 +78,9 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
       slot(black_box_).solve_into(problem, result);
       break;
     case SolverKind::kParallelPushRelabelBinary: {
-      const EngineKind engine = resolve_engine_kind(engine_kind_);
       std::unique_ptr<PushRelabelBinarySolver>& shell =
-          engine == EngineKind::kRound ? parallel_round_ : parallel_hong_he_;
+          engine_kind_ == EngineKind::kRound ? parallel_round_
+                                             : parallel_hong_he_;
       // Not slot(): the factory argument must only be built when the slot
       // is actually constructed, or every reuse hit would re-create a
       // std::function.
@@ -122,15 +89,9 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
       } else {
         pool_metrics().rebuilds.add(1);
         shell = std::make_unique<PushRelabelBinarySolver>(
-            parallel::parallel_engine_factory(threads_, engine));
+            parallel::parallel_engine_factory(threads_, engine_kind_));
       }
-      EngineMetrics& metrics = engine_metrics(engine);
-      StopWatch watch;
-      watch.start();
       shell->solve_into(problem, result);
-      watch.stop();
-      metrics.solve_ms.observe(watch.elapsed_ms());
-      metrics.solves.add(1);
       break;
     }
     case SolverKind::kIntegratedMatching:

@@ -10,15 +10,13 @@
 // The parallel kind fans out into two slots behind the EngineKind seam
 // (core/engine.h): the asynchronous Hong & He engine and the bulk-
 // synchronous round engine each keep their own warm shell, so switching
-// kinds — or letting kAuto flip between them as latency histograms fill —
-// never rebuilds the other's retained state.
+// engines between solves never rebuilds the other's retained state.
 //
 // Not thread-safe: use one pool per thread (the facade keeps a
 // thread_local pool; BatchSolver gives each worker its own).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 
 #include "core/bipartite_matching.h"
@@ -32,17 +30,6 @@
 #include "core/solver.h"
 
 namespace repflow::core {
-
-/// Resolve a requested engine kind to a concrete one.  kHongHe / kRound
-/// pass through unchanged; kAuto consults the `engine.<id>.solve_ms`
-/// latency histograms and picks the engine with the lower observed mean
-/// once both carry at least `min_samples` observations.  Until then (and
-/// permanently in REPFLOW_OBS_DISABLED builds, where the histograms stay
-/// empty) kAuto falls back to kRound: the round engine's barrier
-/// scheduling degrades gracefully when workers outnumber cores, where the
-/// asynchronous engine burns cycles spin-yielding on its work queue.
-EngineKind resolve_engine_kind(EngineKind requested,
-                               std::uint64_t min_samples = 32);
 
 class SolverPool {
  public:
@@ -69,10 +56,9 @@ class SolverPool {
   void set_threads(int threads);
   int threads() const { return threads_; }
 
-  /// Which parallel engine kParallelPushRelabelBinary runs.  kAuto (the
-  /// default) re-resolves against the latency histograms on every solve;
-  /// pinning a concrete kind skips resolution.  Both engines keep their
-  /// own warm slot, so flipping kinds never drops retained buffers.
+  /// Which parallel engine kParallelPushRelabelBinary runs.  Both engines
+  /// keep their own warm slot, so flipping kinds never drops retained
+  /// buffers.
   void set_engine_kind(EngineKind kind) { engine_kind_ = kind; }
   EngineKind engine_kind() const { return engine_kind_; }
 
@@ -82,7 +68,7 @@ class SolverPool {
 
  private:
   int threads_;
-  EngineKind engine_kind_ = EngineKind::kAuto;
+  EngineKind engine_kind_ = EngineKind::kRound;
   std::unique_ptr<FordFulkersonBasicSolver> ff_basic_;
   std::unique_ptr<FordFulkersonIncrementalSolver> ff_incremental_;
   std::unique_ptr<PushRelabelIncrementalSolver> pr_incremental_;

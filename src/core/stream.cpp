@@ -16,7 +16,6 @@ QueryStreamScheduler::QueryStreamScheduler(
     workload::SystemConfig base_system, ExecutionPolicy policy)
     : allocation_(&allocation),
       system_(std::move(base_system)),
-      pinned_kind_(policy.pinned_kind),
       exec_(policy) {
   if (allocation_->total_disks() != system_.total_disks()) {
     throw std::invalid_argument(
@@ -29,23 +28,8 @@ QueryStreamScheduler::QueryStreamScheduler(workload::SystemConfig base_system,
                                            ExecutionPolicy policy)
     : allocation_(nullptr),
       system_(std::move(base_system)),
-      pinned_kind_(policy.pinned_kind),
       exec_(policy) {
   busy_until_.assign(static_cast<std::size_t>(system_.total_disks()), 0.0);
-}
-
-void QueryStreamScheduler::set_adaptive_selection(bool on) {
-  ExecutionPolicy policy = exec_.policy();
-  if (on) {
-    if (policy.mode == SelectionMode::kPinned) {
-      pinned_kind_ = policy.pinned_kind;  // remember for switching back
-      policy.mode = SelectionMode::kFixedThreshold;
-    }
-  } else {
-    policy.mode = SelectionMode::kPinned;
-    policy.pinned_kind = pinned_kind_;
-  }
-  exec_.set_policy(policy);
 }
 
 StreamEvent QueryStreamScheduler::submit(const workload::Query& query,

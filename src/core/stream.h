@@ -10,9 +10,9 @@
 //
 // Solver selection and threading are owned by the scheduler's
 // ExecutionContext (docs/SERVING.md): construct with an ExecutionPolicy to
-// pin a kind, use the degree-threshold adaptive rule, or let the per-kind
-// solve-time histograms drive the choice.  Admission control under overload
-// (shedding / coalescing) is layered on top by QueryRouter (core/router.h).
+// pin a kind or leave the kind to the degree rule.  Admission control under
+// overload (shedding / coalescing) is layered on top by QueryRouter
+// (core/router.h).
 #pragma once
 
 #include <cstdint>
@@ -87,20 +87,6 @@ class QueryStreamScheduler {
   QueryStreamScheduler(workload::SystemConfig base_system,
                        ExecutionPolicy policy);
 
-  /// Legacy pinned-kind forms (kept for source compatibility): equivalent
-  /// to passing ExecutionPolicy::pinned(solver, threads).
-  QueryStreamScheduler(const decluster::ReplicatedAllocation& allocation,
-                       workload::SystemConfig base_system,
-                       SolverKind solver = SolverKind::kPushRelabelBinary,
-                       int threads = 2)
-      : QueryStreamScheduler(allocation, std::move(base_system),
-                             ExecutionPolicy::pinned(solver, threads)) {}
-  explicit QueryStreamScheduler(
-      workload::SystemConfig base_system,
-      SolverKind solver = SolverKind::kPushRelabelBinary, int threads = 2)
-      : QueryStreamScheduler(std::move(base_system),
-                             ExecutionPolicy::pinned(solver, threads)) {}
-
   /// Process one query arriving at `arrival_ms` (must be non-decreasing
   /// across calls; throws otherwise).  Returns the event record.
   StreamEvent submit(const workload::Query& query, double arrival_ms);
@@ -110,18 +96,7 @@ class QueryStreamScheduler {
   StreamEvent submit_replicas(std::vector<std::vector<DiskId>> replicas,
                               double arrival_ms);
 
-  /// Adaptive solver selection: when on, every query picks its solver via
-  /// the degree-threshold rule (the solve() facade's problem-shape
-  /// heuristic) instead of the pinned kind.  Shorthand for swapping the
-  /// policy between kPinned and kFixedThreshold; use set_policy() for
-  /// histogram-driven selection.  The pooled shells for every chosen kind
-  /// stay warm, so flipping between kinds costs one rebuild each.
-  void set_adaptive_selection(bool on);
-  bool adaptive_selection() const {
-    return exec_.policy().mode != SelectionMode::kPinned;
-  }
-
-  /// The scheduler's serving policy (selection mode, threshold, threads).
+  /// The scheduler's serving policy (kind, threads, engine).
   const ExecutionPolicy& policy() const { return exec_.policy(); }
   void set_policy(const ExecutionPolicy& policy) { exec_.set_policy(policy); }
 
@@ -153,8 +128,6 @@ class QueryStreamScheduler {
 
   const decluster::ReplicatedAllocation* allocation_;  // null in replay mode
   workload::SystemConfig system_;
-  /// The kind restored when adaptive selection is switched back off.
-  SolverKind pinned_kind_;
   // The serving context: pooled solver shells + reused scratch result, so
   // consecutive queries of the stream hit the same retained
   // networks/workspaces and the per-query solve itself performs zero

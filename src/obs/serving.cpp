@@ -5,8 +5,8 @@ namespace repflow::obs {
 PolicyInstruments& PolicyInstruments::global() {
   static PolicyInstruments instruments{
       Registry::global().counter("policy.decisions"),
-      Registry::global().counter("policy.histogram_fallbacks"),
-      Registry::global().counter("policy.histogram_picks")};
+      Registry::global().counter("policy.pinned_picks"),
+      Registry::global().counter("policy.degree_picks")};
   return instruments;
 }
 

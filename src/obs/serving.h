@@ -5,11 +5,10 @@
 // observability contract (docs/OBSERVABILITY.md):
 //
 //   policy.decisions            counter  every ExecutionPolicy selection
-//   policy.histogram_fallbacks  counter  histogram mode fell back to the
-//                                        degree threshold (not enough
-//                                        samples yet)
-//   policy.histogram_picks      counter  histogram mode decided from the
-//                                        per-kind solve-time histograms
+//   policy.pinned_picks         counter  selections that ran the policy's
+//                                        pinned kind
+//   policy.degree_picks         counter  selections the degree rule made
+//                                        (choose_solver)
 //   router.admitted             counter  queries passed straight through
 //   router.shed                 counter  queries dropped under overload
 //   router.coalesced            counter  queries deferred into the pending
@@ -58,8 +57,8 @@ namespace repflow::obs {
 /// Cached handles for the ExecutionPolicy decision path.
 struct PolicyInstruments {
   Counter& decisions;
-  Counter& histogram_fallbacks;
-  Counter& histogram_picks;
+  Counter& pinned_picks;
+  Counter& degree_picks;
 
   /// Process-wide bundle (handles resolved on first use).
   static PolicyInstruments& global();

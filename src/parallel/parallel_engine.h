@@ -51,9 +51,7 @@ using RoundEngine = ParallelEngineAdapter<RoundPushRelabel>;
 /// the Hong & He asynchronous engine (historic default).
 core::EngineFactory parallel_engine_factory(int threads);
 
-/// Engine factory for a specific engine kind.  `kind` must be a concrete
-/// engine (kHongHe or kRound) — resolving kAuto against observed latency
-/// histograms is the solver pool's job, before this factory is called.
+/// Engine factory for a specific engine kind.
 core::EngineFactory parallel_engine_factory(int threads,
                                             core::EngineKind kind);
 

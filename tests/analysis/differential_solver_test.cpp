@@ -218,8 +218,8 @@ TEST(DifferentialSolve, MatchingKernelOnHighReplicationShapes) {
 }
 
 TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
-  // solve(problem, {}) routes through choose_solver(); whatever kind the
-  // policy picks must deliver the oracle optimum.
+  // solve(problem) routes through choose_solver(); whatever kind the
+  // degree rule picks must deliver the oracle optimum.
   Rng rng(424242);
   for (int trial = 0; trial < 15; ++trial) {
     const auto disks = static_cast<std::int32_t>(2 + rng.below(4));
@@ -227,7 +227,7 @@ TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
     const RetrievalProblem problem =
         random_general_problem(disks, buckets, rng);
     const SolveResult oracle = core::BruteForceSolver(problem).solve();
-    const SolveResult adaptive = core::solve(problem, core::SolveOptions{});
+    const SolveResult adaptive = core::solve(problem);
     EXPECT_DOUBLE_EQ(adaptive.response_time_ms, oracle.response_time_ms)
         << "adaptive picked " << core::solver_id(core::choose_solver(problem));
     const auto report = analysis::check_solve_result(problem, adaptive);

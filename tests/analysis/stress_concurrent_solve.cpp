@@ -111,7 +111,8 @@ TEST(ConcurrentSolveStress, BatchSolverConsecutiveBatches) {
   Rng rng(202);
   core::BatchOptions options;
   options.threads = kThreads;
-  options.solver = SolverKind::kPushRelabelBinary;
+  options.policy =
+      core::ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary, 1);
   core::BatchSolver batch(options);
   std::vector<SolveResult> results;
   for (int round = 0; round < kRounds; ++round) {
@@ -140,7 +141,8 @@ TEST(ConcurrentSolveStress, BatchSolverMatchingKernel) {
   Rng rng(212);
   core::BatchOptions options;
   options.threads = kThreads;
-  options.solver = SolverKind::kIntegratedMatching;
+  options.policy =
+      core::ExecutionPolicy::pinned(SolverKind::kIntegratedMatching, 1);
   core::BatchSolver batch(options);
   std::vector<SolveResult> results;
   for (int round = 0; round < kRounds; ++round) {
@@ -221,7 +223,8 @@ TEST(ConcurrentSolveStress, PerThreadStreamSchedulers) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       core::QueryStreamScheduler scheduler(
-          system, SolverKind::kPushRelabelBinary, /*threads=*/2);
+          system,
+          core::ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary));
       double arrival = 0.0;
       for (const auto& replicas : queries) {
         const auto event = scheduler.submit_replicas(replicas, arrival);

@@ -21,6 +21,8 @@ namespace repflow::core {
 namespace {
 
 constexpr double kTimeEps = 1e-6;
+const ExecutionPolicy kAlg6 =
+    ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary);
 
 workload::SystemConfig two_disk_system() {
   workload::SystemConfig sys;
@@ -132,7 +134,7 @@ TEST(Stream, BacklogRaisesResponseTimes) {
       decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
   Rng rng(77);
   auto sys = workload::make_experiment_system(1, n, rng);  // homogeneous
-  QueryStreamScheduler stream(rep, sys);
+  QueryStreamScheduler stream(rep, sys, kAlg6);
   const workload::Query big = workload::RangeQuery{0, 0, 6, 6}.buckets(n);
 
   // Two identical queries back-to-back: the second must wait for the
@@ -158,8 +160,8 @@ TEST(Stream, RejectsTimeTravel) {
   const auto rep =
       decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
   Rng rng(78);
-  QueryStreamScheduler stream(rep,
-                              workload::make_experiment_system(1, n, rng));
+  QueryStreamScheduler stream(rep, workload::make_experiment_system(1, n, rng),
+                              kAlg6);
   stream.submit({0, 1}, 10.0);
   EXPECT_THROW(stream.submit({2}, 5.0), std::invalid_argument);
 }
@@ -170,7 +172,7 @@ TEST(Stream, BusyHorizonMatchesSchedules) {
       decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
   Rng rng(79);
   auto sys = workload::make_experiment_system(2, n, rng);
-  QueryStreamScheduler stream(rep, sys);
+  QueryStreamScheduler stream(rep, sys, kAlg6);
   const auto event = stream.submit(workload::RangeQuery{0, 0, 3, 3}.buckets(n),
                                    2.0);
   for (std::int32_t d = 0; d < 2 * n; ++d) {

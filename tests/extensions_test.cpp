@@ -259,7 +259,8 @@ TEST(BatchSolve, PropagatesErrorsAndValidatesOptions) {
   bad.system.model = {"a", "b"};
   bad.replicas = {{0, 1}};
   core::BatchOptions options;
-  options.solver = core::SolverKind::kFordFulkersonBasic;  // requires basic
+  options.policy = core::ExecutionPolicy::pinned(
+      core::SolverKind::kFordFulkersonBasic, 1);  // requires basic
   EXPECT_THROW(core::solve_batch({bad}, options), std::invalid_argument);
 }
 

@@ -87,13 +87,15 @@ TEST(EndToEnd, StreamSaturationBehaviour) {
   const workload::QueryGenerator gen(n, workload::QueryType::kRange,
                                      workload::LoadKind::kLoad2);
 
+  const auto alg6 =
+      core::ExecutionPolicy::pinned(core::SolverKind::kPushRelabelBinary);
   // Saturated: all queries arrive at t = 0.
-  core::QueryStreamScheduler saturated(rep, sys);
+  core::QueryStreamScheduler saturated(rep, sys, alg6);
   Rng qrng1(7);
   for (int i = 0; i < 12; ++i) saturated.submit(gen.next(qrng1), 0.0);
 
   // Idle: same queries, one per "hour".
-  core::QueryStreamScheduler idle(rep, sys);
+  core::QueryStreamScheduler idle(rep, sys, alg6);
   Rng qrng2(7);
   for (int i = 0; i < 12; ++i) {
     idle.submit(gen.next(qrng2), static_cast<double>(i) * 3.6e6);

@@ -348,7 +348,8 @@ TEST(Instrumentation, StreamStatsCarryLatencyHistograms) {
       decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
   Rng rng(91);
   core::QueryStreamScheduler stream(
-      rep, workload::make_experiment_system(1, n, rng));
+      rep, workload::make_experiment_system(1, n, rng),
+      core::ExecutionPolicy::pinned(core::SolverKind::kPushRelabelBinary));
   stream.submit({0, 1, 2}, 0.0);
   stream.submit({3, 4}, 1.0);
   const core::StreamStats stats = stream.stats();
@@ -383,7 +384,6 @@ TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
   ASSERT_TRUE(snap.counters.contains("parallel.thread1.discharges"));
   EXPECT_TRUE(snap.counters.contains("parallel.thread0.pushes"));
   EXPECT_TRUE(snap.gauges.contains("parallel.last_run_queue_yields"));
-  EXPECT_TRUE(snap.histograms.contains("engine.hong_he.solve_ms"));
 }
 
 TEST(Instrumentation, RoundEngineExportsRoundTelemetry) {
@@ -416,7 +416,6 @@ TEST(Instrumentation, RoundEngineExportsRoundTelemetry) {
   EXPECT_EQ(work.value(), work_before);
   const MetricsSnapshot snap = Registry::global().snapshot();
   EXPECT_TRUE(snap.gauges.contains("parallel.active_peak"));
-  EXPECT_TRUE(snap.histograms.contains("engine.round.solve_ms"));
 }
 
 #else  // REPFLOW_OBS_DISABLED

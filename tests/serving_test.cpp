@@ -1,11 +1,10 @@
-// Tests for the serving layer: ExecutionPolicy / ExecutionContext (solver
-// selection modes, facade parity), the admission-controlled QueryRouter
+// Tests for the serving layer: ExecutionPolicy / ExecutionContext (pinned
+// kind vs. degree rule, facade parity), the admission-controlled QueryRouter
 // (shed / coalesce semantics and merged-load exactness), batched capacity
 // stepping, and BatchSolver error-path hardening.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -56,17 +55,12 @@ RetrievalProblem dense_problem() {
   return p;
 }
 
-TEST(ExecutionPolicy, SelectByDegreeSplitsOnAverageDegree) {
-  EXPECT_EQ(select_by_degree(sparse_problem(), 16.0),
-            SolverKind::kIntegratedMatching);
-  EXPECT_EQ(select_by_degree(dense_problem(), 16.0),
-            SolverKind::kPushRelabelBinary);
-  // Threshold is a parameter, not a constant.
-  EXPECT_EQ(select_by_degree(sparse_problem(), 1.0),
-            SolverKind::kPushRelabelBinary);
+TEST(ExecutionPolicy, ChooseSolverSplitsOnAverageDegree) {
+  EXPECT_EQ(choose_solver(sparse_problem()), SolverKind::kIntegratedMatching);
+  EXPECT_EQ(choose_solver(dense_problem()), SolverKind::kPushRelabelBinary);
   RetrievalProblem empty;
   empty.system = uniform_system(2, 1.0);
-  EXPECT_EQ(select_by_degree(empty, 16.0), SolverKind::kIntegratedMatching);
+  EXPECT_EQ(choose_solver(empty), SolverKind::kIntegratedMatching);
 }
 
 TEST(ExecutionPolicy, PinnedModeIgnoresProblemShape) {
@@ -77,37 +71,29 @@ TEST(ExecutionPolicy, PinnedModeIgnoresProblemShape) {
   EXPECT_EQ(context.select(dense_problem()), SolverKind::kBlackBoxBinary);
 }
 
-TEST(ExecutionPolicy, HistogramModeFallsBackUntilSampled) {
-  // An unreachable sample floor keeps histogram mode on the threshold
-  // fallback forever; the fallback decisions are counted.
-  ExecutionContext context(ExecutionPolicy::histogram_driven(
-      std::numeric_limits<std::uint64_t>::max()));
-  const std::uint64_t fallbacks_before =
-      obs::PolicyInstruments::global().histogram_fallbacks.value();
-  EXPECT_EQ(context.select(sparse_problem()),
-            SolverKind::kIntegratedMatching);
-  EXPECT_EQ(context.select(dense_problem()), SolverKind::kPushRelabelBinary);
-#if !defined(REPFLOW_OBS_DISABLED)
-  EXPECT_GE(obs::PolicyInstruments::global().histogram_fallbacks.value(),
-            fallbacks_before + 2);
-#endif
-}
+// `solve(p, {})` must not compile: it would bind to the kind form with a
+// value-initialised SolverKind (alg1) instead of the adaptive form.
+template <typename Problem>
+constexpr bool kEmptyBracesCompile =
+    requires(const Problem& p) { solve(p, {}); };
+static_assert(!kEmptyBracesCompile<RetrievalProblem>);
 
-TEST(ExecutionPolicy, HistogramModePicksOnceSampled) {
-  ExecutionContext context(ExecutionPolicy::histogram_driven(1));
-  // Feed both candidate kinds' solve-time histograms.
+TEST(Facade, AdaptiveFormRunsTheKindChooseSolverPicks) {
   const RetrievalProblem p = sparse_problem();
-  SolveResult r;
-  context.solve_into(p, SolverKind::kIntegratedMatching, r);
-  context.solve_into(p, SolverKind::kPushRelabelBinary, r);
+  ASSERT_EQ(choose_solver(p), SolverKind::kIntegratedMatching);
+  obs::Registry& registry = obs::Registry::global();
+  [[maybe_unused]] const std::uint64_t matching_before =
+      registry.counter("solver.matching.solves").value();
+  [[maybe_unused]] const std::uint64_t alg1_before =
+      registry.counter("solver.alg1.solves").value();
+  const SolveResult adaptive = solve(p);
+  EXPECT_NEAR(adaptive.response_time_ms,
+              solve(p, SolverKind::kFordFulkersonIncremental).response_time_ms,
+              kTimeEps);
 #if !defined(REPFLOW_OBS_DISABLED)
-  const std::uint64_t picks_before =
-      obs::PolicyInstruments::global().histogram_picks.value();
-  const SolverKind kind = context.select(p);
-  EXPECT_TRUE(kind == SolverKind::kIntegratedMatching ||
-              kind == SolverKind::kPushRelabelBinary);
-  EXPECT_GE(obs::PolicyInstruments::global().histogram_picks.value(),
-            picks_before + 1);
+  EXPECT_EQ(registry.counter("solver.matching.solves").value(),
+            matching_before + 1);
+  EXPECT_EQ(registry.counter("solver.alg1.solves").value(), alg1_before);
 #endif
 }
 
@@ -199,6 +185,9 @@ TEST(CapacityIncrementer, TieHeavyInstancesStayExact) {
 
 // --- QueryRouter ---
 
+const ExecutionPolicy kAlg6 =
+    ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary);
+
 struct StreamFixture {
   decluster::ReplicatedAllocation rep =
       decluster::make_orthogonal(6, decluster::SiteMapping::kCopyPerSite);
@@ -210,8 +199,8 @@ struct StreamFixture {
 
 TEST(QueryRouter, OffModeIsPassThrough) {
   StreamFixture f;
-  QueryStreamScheduler routed(f.rep, f.sys);
-  QueryStreamScheduler direct(f.rep, f.sys);
+  QueryStreamScheduler routed(f.rep, f.sys, kAlg6);
+  QueryStreamScheduler direct(f.rep, f.sys, kAlg6);
   QueryRouter router(routed, RouterOptions{});
   Rng arrivals_rng(9);
   double t = 0.0;
@@ -233,7 +222,7 @@ TEST(QueryRouter, OffModeIsPassThrough) {
 
 TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, kAlg6);
   RouterOptions options;
   options.mode = AdmissionMode::kShed;
   options.max_backlog_ms = 10.0;
@@ -264,8 +253,8 @@ TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
 
 TEST(QueryRouter, CoalescedBatchMatchesDirectMergedSubmission) {
   StreamFixture f;
-  QueryStreamScheduler routed(f.rep, f.sys);
-  QueryStreamScheduler mirror(f.rep, f.sys);
+  QueryStreamScheduler routed(f.rep, f.sys, kAlg6);
+  QueryStreamScheduler mirror(f.rep, f.sys, kAlg6);
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 5.0;
@@ -316,7 +305,7 @@ TEST(QueryRouter, CoalescedBatchMatchesDirectMergedSubmission) {
 
 TEST(QueryRouter, CoalesceDedupsSharedBuckets) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, kAlg6);
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 1.0;
@@ -337,7 +326,7 @@ TEST(QueryRouter, CoalesceDedupsSharedBuckets) {
 
 TEST(QueryRouter, FullBufferFlushesEvenWhileOverloaded) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, kAlg6);
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 1.0;
@@ -358,7 +347,7 @@ TEST(QueryRouter, FullBufferFlushesEvenWhileOverloaded) {
 
 TEST(QueryRouter, FlushDrainsPendingAndEnforcesArrivalOrder) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, kAlg6);
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 1.0;
@@ -377,11 +366,10 @@ TEST(QueryRouter, FlushDrainsPendingAndEnforcesArrivalOrder) {
 
 TEST(QueryRouter, ReplayModeRejectsQuerySubmission) {
   StreamFixture f;
-  // Replay-mode scheduler with adaptive selection on: replica-list
-  // submission must work (through the router too), bucket-id submission
-  // must throw in both layers.
-  QueryStreamScheduler scheduler(f.sys, ExecutionPolicy::adaptive());
-  EXPECT_TRUE(scheduler.adaptive_selection());
+  // Replay-mode scheduler on the degree rule: replica-list submission must
+  // work (through the router too), bucket-id submission must throw in both
+  // layers.
+  QueryStreamScheduler scheduler(f.sys, ExecutionPolicy{});
   EXPECT_EQ(scheduler.allocation(), nullptr);
   QueryRouter router(scheduler, RouterOptions{});
   EXPECT_THROW(router.submit(f.gen.next(f.rng), 0.0), std::logic_error);
@@ -394,28 +382,32 @@ TEST(QueryRouter, ReplayModeRejectsQuerySubmission) {
   EXPECT_THROW(router.submit_replicas({{0}}, -1.0), std::invalid_argument);
 }
 
-TEST(QueryStream, AdaptiveToggleRestoresPinnedKind) {
+// policy.pinned_picks / policy.degree_picks say why each kind was picked:
+// a set `kind` counts as pinned, an unset one as a degree-rule decision,
+// and swapping the policy on a live scheduler switches the reason.
+TEST(ExecutionPolicy, ReasonCountersNamePinnedAndDegreePicks) {
   StreamFixture f;
+  obs::PolicyInstruments& pi = obs::PolicyInstruments::global();
   QueryStreamScheduler scheduler(
       f.rep, f.sys,
       ExecutionPolicy::pinned(SolverKind::kFordFulkersonIncremental));
-  EXPECT_FALSE(scheduler.adaptive_selection());
-  scheduler.set_adaptive_selection(true);
-  EXPECT_TRUE(scheduler.adaptive_selection());
-  EXPECT_EQ(scheduler.policy().mode, SelectionMode::kFixedThreshold);
-  scheduler.set_adaptive_selection(false);
-  EXPECT_FALSE(scheduler.adaptive_selection());
-  EXPECT_EQ(scheduler.policy().pinned_kind,
-            SolverKind::kFordFulkersonIncremental);
-  // Histogram-driven policies also count as adaptive; switching off still
-  // restores the original pinned kind.
-  scheduler.set_policy(ExecutionPolicy::histogram_driven(4));
-  EXPECT_TRUE(scheduler.adaptive_selection());
-  scheduler.set_adaptive_selection(false);
-  EXPECT_EQ(scheduler.policy().pinned_kind,
-            SolverKind::kFordFulkersonIncremental);
-  scheduler.submit(f.gen.next(f.rng), 0.0);  // still serves queries
-  EXPECT_EQ(scheduler.events().size(), 1u);
+  [[maybe_unused]] const std::uint64_t pinned_before =
+      pi.pinned_picks.value();
+  [[maybe_unused]] const std::uint64_t degree_before =
+      pi.degree_picks.value();
+  scheduler.submit(f.gen.next(f.rng), 0.0);
+#if !defined(REPFLOW_OBS_DISABLED)
+  EXPECT_EQ(pi.pinned_picks.value(), pinned_before + 1);
+  EXPECT_EQ(pi.degree_picks.value(), degree_before);
+#endif
+  scheduler.set_policy(ExecutionPolicy{});
+  EXPECT_FALSE(scheduler.policy().kind.has_value());
+  scheduler.submit(f.gen.next(f.rng), 1.0);
+#if !defined(REPFLOW_OBS_DISABLED)
+  EXPECT_EQ(pi.pinned_picks.value(), pinned_before + 1);
+  EXPECT_EQ(pi.degree_picks.value(), degree_before + 1);
+#endif
+  EXPECT_EQ(scheduler.events().size(), 2u);
 }
 
 // --- BatchSolver hardening ---
@@ -505,7 +497,10 @@ TEST(BatchSolver, ConcurrentThrowsRaceTheErrorSlotSafely) {
   }
 }
 
-TEST(BatchSolver, PolicyOverridesPinnedKind) {
+TEST(BatchSolver, DefaultPolicyPinsAlg6AndDegreeRuleMatches) {
+  const BatchOptions defaults;
+  EXPECT_EQ(defaults.policy.kind, SolverKind::kPushRelabelBinary);
+  EXPECT_EQ(defaults.policy.threads, 1);
   Rng rng(42);
   const auto rep =
       decluster::make_orthogonal(8, decluster::SiteMapping::kCopyPerSite);
@@ -518,9 +513,7 @@ TEST(BatchSolver, PolicyOverridesPinnedKind) {
   }
   BatchOptions options;
   options.threads = 2;
-  options.solver = SolverKind::kBlackBoxBinary;  // overridden below
-  options.policy = ExecutionPolicy::adaptive();
-  EXPECT_EQ(options.effective_policy().mode, SelectionMode::kFixedThreshold);
+  options.policy = ExecutionPolicy{};
   const auto results = solve_batch(problems, options);
   ASSERT_EQ(results.size(), problems.size());
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -376,7 +376,7 @@ std::vector<std::vector<core::DiskId>> both_disk_query(std::size_t buckets) {
 
 TEST(RouterAgeFlush, OldestQueryAgePastBoundForcesFlush) {
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;
@@ -412,7 +412,7 @@ TEST(RouterAgeFlush, WithoutAgeBoundPartialOverloadStrandsTheBuffer) {
   // Regression guard for the pre-age-flush behaviour: the same arrival
   // pattern with only the count trigger leaves the early queries waiting.
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;
@@ -540,7 +540,7 @@ TEST(FlightRecorder, ConcurrentClearAndRecordStayRaceFree) {
 
 TEST(FlightRecorder, RouterBudgetBreachDumpsFullPipelineChain) {
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.latency_budget_ms = 1e-6;  // every real response breaches
   core::QueryRouter router(sched, opts);
@@ -578,7 +578,7 @@ TEST(DiskAccounting, SolveFoldsServiceTimeIntoPerDiskSeries) {
                       /*delay1=*/0.25);
   const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
 
-  core::QueryStreamScheduler sched(sys, core::ExecutionPolicy::adaptive());
+  core::QueryStreamScheduler sched(sys, core::ExecutionPolicy{});
   sched.submit_replicas(both_disk_query(6), 0.0);
   sched.submit_replicas(both_disk_query(6), 1000.0);  // disks idle again
 
@@ -631,7 +631,7 @@ TEST(RouterInstruments, AgeFlushSeriesRecorded) {
       obs::Registry::global().histogram("router.flush_age_ms").summary().count;
 
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;
@@ -685,7 +685,7 @@ TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
 
 TEST(TelemetryDisabled, ServingPipelineStillRunsWithZeroIds) {
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;

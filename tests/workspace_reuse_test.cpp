@@ -193,10 +193,8 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
     problems.push_back(random_basic_problem(8, 24, rng));
   }
 
-  // The parallel kind runs once per concrete engine (Hong & He and the
-  // round engine each own a warm slot with their own retained buffers);
-  // kAuto additionally proves per-solve engine resolution stays
-  // allocation-free (histogram summaries are stack-only).
+  // The parallel kind runs once per engine (Hong & He and the round engine
+  // each own a warm slot with their own retained buffers).
   auto run_kind = [&](SolverKind kind, core::EngineKind engine) {
     core::SolverPool pool(/*threads=*/1);
     pool.set_engine_kind(engine);
@@ -228,9 +226,8 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
       for (core::EngineKind engine : core::kAllEngineKinds) {
         run_kind(kind, engine);
       }
-      run_kind(kind, core::EngineKind::kAuto);
     } else {
-      run_kind(kind, core::EngineKind::kAuto);
+      run_kind(kind, core::EngineKind::kRound);
     }
   }
 }
